@@ -14,6 +14,10 @@
 //! only, and solves symbolic [`Guard`](crate::Guard) families per signal, so
 //! that composing a concrete context with a chaotic closure never expands
 //! the closure's exponential `*` transitions beyond what the context admits.
+//! Production callers go through the compiled row kernel
+//! ([`crate::kernel`]), which solves every signal of a combination at once
+//! on `u128` masks; [`compose_reference`] keeps the per-signal solver below
+//! as its independent oracle.
 
 use std::collections::HashMap;
 
@@ -125,18 +129,17 @@ impl Composition {
     }
 }
 
-/// Who sends / receives a signal within a composition. Shared with the
-/// incremental recomposition path ([`crate::incremental`]), which re-expands
-/// individual product rows under the same constraint system.
+/// Who sends / receives a signal within a composition (reference oracle
+/// only).
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SignalRole {
+struct SignalRole {
     sender: Option<usize>,
     receiver: Option<usize>,
 }
 
 /// Derives the per-signal sender/receiver roles of a composition: each
 /// signal has at most one sender and one receiver among `parts`.
-pub(crate) fn signal_roles(parts: &[&Automaton]) -> HashMap<SignalId, SignalRole> {
+fn signal_roles(parts: &[&Automaton]) -> HashMap<SignalId, SignalRole> {
     let mut roles: HashMap<SignalId, SignalRole> = HashMap::new();
     for (i, p) in parts.iter().enumerate() {
         for s in p.inputs().iter() {
@@ -154,15 +157,16 @@ pub(crate) fn signal_roles(parts: &[&Automaton]) -> HashMap<SignalId, SignalRole
 /// the per-signal constraint system for each. `emit` receives each composed
 /// guard together with the target component-state tuple.
 ///
-/// This is the per-row kernel shared by [`compose`] (which runs it over the
-/// whole reachable worklist) and the incremental recomposition cache (which
-/// runs it only over invalidated rows).
+/// This is [`compose_reference`]'s row solver: one `HashMap` walk per
+/// combination, kept deliberately independent of the compiled kernel in
+/// [`crate::kernel`] that every production path uses, so the differential
+/// suites compare two implementations rather than one with itself.
 ///
 /// # Errors
 ///
 /// [`AutomataError::FreeSignalOverflow`] as for [`compose`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn expand_tuple(
+fn expand_tuple(
     parts: &[&Automaton],
     tuple: &[StateId],
     roles: &HashMap<SignalId, SignalRole>,
@@ -247,9 +251,10 @@ pub fn compose2(a: &Automaton, b: &Automaton) -> Result<Composition> {
 /// Composes `parts` synchronously (n-way generalization of Definition 3).
 ///
 /// Implemented as a full expansion of the arena-backed on-the-fly product
-/// ([`crate::lazy::LazyProduct`]); the classic HashMap-interned exploration
-/// is retained as [`compose_reference`] and the two are differentially
-/// tested to produce bit-identical results.
+/// ([`crate::lazy::LazyProduct`]) over the compiled row kernel; the classic
+/// HashMap-interned exploration with its per-signal solver is retained as
+/// [`compose_reference`] and the two are differentially tested to produce
+/// bit-identical results.
 ///
 /// # Errors
 ///

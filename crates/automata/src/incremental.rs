@@ -15,11 +15,13 @@
 //!   interleaved), which composition is insensitive to.
 //! * [`CompositionCache`] keeps the previous product, invalidates only rows
 //!   whose origin tuple touches a dirty closure state, re-expands those rows
-//!   with the shared [`compose`](crate::compose) row kernel, explores any
-//!   genuinely new frontier, and finally renumbers the product into the
-//!   exact state order a cold rebuild would produce — so the resulting
-//!   [`Composition`] is *identical* (states, ids, transition order,
-//!   counterexamples) to `compose(&parts, opts)` on the fresh closures.
+//!   with the compiled row kernel [`compose`](crate::compose) also runs on
+//!   (compiled once per recompose, after the closures are patched),
+//!   explores any genuinely new frontier, and finally renumbers the product
+//!   into the exact state order a cold rebuild would produce — so the
+//!   resulting [`Composition`] is *identical* (states, ids, transition
+//!   order, counterexamples) to `compose(&parts, opts)` on the fresh
+//!   closures.
 //! * [`WarmCarry`] reports which product states kept their entire forward
 //!   behaviour (they cannot reach any invalidated row), so a checker may
 //!   carry their satisfaction bits into the next iteration (see
@@ -34,13 +36,13 @@ use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 
 use crate::automaton::{Automaton, StateData, StateId, Transition};
-use crate::compose::{compose, expand_tuple, signal_roles, ComposeOptions, Composition};
+use crate::compose::{compose, ComposeOptions, Composition};
 use crate::csr::Csr;
 use crate::error::{AutomataError, Result};
 use crate::incomplete::{IncompleteAutomaton, LearnDelta};
+use crate::kernel::{product_state_name, RowKernel};
 use crate::label::{Guard, LabelFamily};
 use crate::prop::{PropId, PropSet};
-use crate::signal::SignalSet;
 
 /// How a [`CompositionCache::recompose`] call produced its product.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -429,13 +431,7 @@ impl CompositionCache {
         let parts: Vec<&Automaton> = std::iter::once(context)
             .chain(st.closures.iter().map(|c| c.automaton()))
             .collect();
-        let roles = signal_roles(&parts);
-        let all_inputs = parts
-            .iter()
-            .fold(SignalSet::EMPTY, |acc, p| acc.union(p.inputs()));
-        let all_outputs = parts
-            .iter()
-            .fold(SignalSet::EMPTY, |acc, p| acc.union(p.outputs()));
+        let mut kernel = RowKernel::compile(&parts);
 
         let automaton = &mut st.comp.automaton;
         let origin = &mut st.comp.origin;
@@ -452,6 +448,12 @@ impl CompositionCache {
                 .zip(&parts)
                 .fold(PropSet::EMPTY, |acc, (&cs, p)| acc.union(p.props_of(cs)));
         }
+        // Row generation per product state: `stamp[t] == generation` iff
+        // the row being expanded already has an entry to `t`.
+        let mut stamp: Vec<u32> = vec![0; automaton.states.len()];
+        let mut generation = 0u32;
+        let mut source: Vec<u32> = Vec::with_capacity(parts.len());
+        let mut key: Vec<StateId> = Vec::with_capacity(parts.len());
         let mut queue: Vec<usize> = dirty_rows.clone();
         while let Some(r) = queue.pop().or_else(|| worklist.pop()) {
             if automaton.states.len() > opts.max_states {
@@ -463,46 +465,42 @@ impl CompositionCache {
                     max: opts.max_states,
                 });
             }
-            let tuple = origin[r].clone();
+            generation += 1;
+            source.clear();
+            source.extend(origin[r].iter().map(|s| s.0));
+            if !kernel.load(&source) {
+                continue; // some component blocks: the row stays empty
+            }
             let adj = &mut automaton.adj;
             let states = &mut automaton.states;
-            let expanded = expand_tuple(
-                &parts,
-                &tuple,
-                &roles,
-                all_inputs,
-                all_outputs,
-                opts,
-                &mut stats,
-                |guard, target| {
-                    let tgt = match index.get(target) {
-                        Some(&id) => id,
-                        None => {
-                            let id = StateId(states.len() as u32);
-                            let name = target
-                                .iter()
-                                .zip(&parts)
-                                .map(|(&s, p)| p.state_name(s).to_owned())
-                                .collect::<Vec<_>>()
-                                .join("||");
-                            let props = target
-                                .iter()
-                                .zip(&parts)
-                                .fold(PropSet::EMPTY, |acc, (&s, p)| acc.union(p.props_of(s)));
-                            states.push(StateData { name, props });
-                            adj.push(Vec::new());
-                            origin.push(target.to_vec());
-                            index.insert(target.to_vec(), id);
-                            worklist.push(id.index());
-                            id
-                        }
-                    };
-                    let tr = Transition { guard, to: tgt };
-                    if !adj[r].contains(&tr) {
-                        adj[r].push(tr);
+            let expanded = kernel.walk(opts, &mut stats, |guard, target| {
+                key.clear();
+                key.extend(target.iter().map(|&t| StateId(t)));
+                let tgt = match index.get(key.as_slice()) {
+                    Some(&id) => id,
+                    None => {
+                        let id = StateId(states.len() as u32);
+                        let props = key
+                            .iter()
+                            .zip(&parts)
+                            .fold(PropSet::EMPTY, |acc, (&s, p)| acc.union(p.props_of(s)));
+                        states.push(StateData {
+                            name: product_state_name(&parts, target),
+                            props,
+                        });
+                        adj.push(Vec::new());
+                        origin.push(key.clone());
+                        index.insert(key.clone(), id);
+                        stamp.push(0);
+                        worklist.push(id.index());
+                        id
                     }
-                },
-            );
+                };
+                let repeat = std::mem::replace(&mut stamp[tgt.index()], generation) == generation;
+                if !repeat || !adj[r].iter().any(|t| t.to == tgt && t.guard == guard) {
+                    adj[r].push(Transition { guard, to: tgt });
+                }
+            });
             if let Err(e) = expanded {
                 self.state = None;
                 return Err(e);
@@ -630,6 +628,7 @@ mod tests {
     use crate::chaos::{S_ALL, S_DELTA};
     use crate::incomplete::Observation;
     use crate::label::Label;
+    use crate::signal::SignalSet;
     use crate::universe::Universe;
 
     fn context(u: &Universe) -> Automaton {

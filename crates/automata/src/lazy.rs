@@ -1,11 +1,8 @@
 //! On-the-fly product exploration with arena/struct-of-arrays storage.
 //!
-//! [`compose`](crate::compose::compose) materializes the full reachable
-//! product — per-state `Vec<Transition>` rows, a `HashMap<Vec<StateId>,
-//! StateId>` interner, one heap allocation per product state — before any
-//! consumer sees a single state. [`LazyProduct`] is the same exploration
-//! (it drives the identical [`expand_tuple`] row kernel under the identical
-//! constraint system) split into *per-row* steps over flat storage:
+//! [`LazyProduct`] explores the synchronous product row by row over flat
+//! storage, solving each row with the compiled row kernel
+//! ([`crate::kernel`]), which it builds once in [`LazyProduct::new`]:
 //!
 //! * one `u32` arena holds every component-state tuple (stride = number of
 //!   components), so a product state is a slice, not a `Vec`;
@@ -13,7 +10,9 @@
 //!   flat target array), with `u32::MAX` marking rows not yet expanded;
 //! * the tuple→id interner is an open-addressed, power-of-two table keyed
 //!   by a packed multiply-xor hash of the tuple, probing the arena
-//!   directly — no per-key allocation, no `Vec<StateId>` clones.
+//!   directly — no per-key allocation, no `Vec<StateId>` clones;
+//! * duplicate row entries are dropped with a generation stamp per product
+//!   state instead of a scan of the row built so far.
 //!
 //! Consumers that only need reachability (the fused checker in
 //! `muml-logic`) drive [`LazyProduct::expand_row`] from their own frontier
@@ -22,27 +21,25 @@
 //! automaton call [`LazyProduct::expand_all`] +
 //! [`LazyProduct::into_composition`], which renumbers states into the
 //! canonical discovery order and yields a [`Composition`] bit-identical to
-//! the classic materializing path (this is how [`compose`] itself is
-//! implemented now).
+//! [`compose_reference`](crate::compose::compose_reference) (this is how
+//! [`compose`](crate::compose::compose) itself is implemented).
 //!
-//! Storage modes: with `keep_guards` every `(guard, target)` pair is
-//! retained (required for materialization); without it only deduplicated
-//! targets are stored — an order of magnitude less memory at 10^6 states —
-//! and counterexample labels are recovered by re-running the row kernel on
-//! the few rows a witness path actually crosses
-//! ([`LazyProduct::first_label_to`]).
-
-use std::collections::HashMap;
+//! Storage modes: with `keep_guards` each expanded row is also written
+//! into its final `Vec<Transition>`, which
+//! [`into_composition`](LazyProduct::into_composition) moves into the
+//! product automaton; without it only deduplicated targets are stored — an
+//! order of magnitude less memory at 10^6 states — and counterexample
+//! labels are recovered by re-running the row kernel on the few rows a
+//! witness path actually crosses ([`LazyProduct::first_label_to`]).
 
 use crate::automaton::{Automaton, StateData, StateId, Transition};
-use crate::compose::{
-    expand_tuple, signal_roles, ComposeOptions, ComposeStats, Composition, SignalRole,
-};
+use crate::compose::{ComposeOptions, ComposeStats, Composition};
 use crate::csr::Csr;
 use crate::error::{AutomataError, Result};
-use crate::label::{Guard, Label};
+use crate::kernel::{product_state_name, RowKernel};
+use crate::label::Label;
 use crate::prop::PropSet;
-use crate::signal::{SignalId, SignalSet};
+use crate::signal::SignalSet;
 
 /// Sentinel in `row_off` marking a state whose outgoing row has not been
 /// expanded yet.
@@ -91,7 +88,7 @@ impl TupleInterner {
     /// not yet be in the arena when inserting (the caller appends it on
     /// miss).
     fn intern(&mut self, tuple: &[u32], id: u32, arena: &[u32], k: usize) -> (u32, bool) {
-        if (self.len + 1) * 8 >= self.slots.len() * 7 {
+        if (self.len + 1) * 2 >= self.slots.len() {
             self.grow(arena, k);
         }
         let mut i = tuple_hash(tuple) as usize & self.mask;
@@ -132,13 +129,31 @@ impl TupleInterner {
 
 /// An on-the-fly synchronous product over flat arena storage. See the
 /// module docs for the storage layout and the bit-identity contract with
-/// [`compose`](crate::compose::compose).
+/// [`compose_reference`](crate::compose::compose_reference).
 pub struct LazyProduct<'a> {
-    parts: Vec<&'a Automaton>,
+    kernel: RowKernel<'a>,
     opts: ComposeOptions,
-    roles: HashMap<SignalId, SignalRole>,
     all_inputs: SignalSet,
     all_outputs: SignalSet,
+    table: StateTable<'a>,
+    /// Flat transition targets: one per `(guard, target)` row entry in
+    /// emit order when `keep_guards`, first-occurrence-deduplicated targets
+    /// otherwise.
+    succ: Vec<u32>,
+    /// Scratch row reused across expansions (`keep_guards` only).
+    row_buf: Vec<Transition>,
+    /// Row generation: `table.stamp[t] == generation` iff the row being
+    /// expanded already has an entry to `t`.
+    generation: u32,
+    initial: Vec<u32>,
+    stats: ComposeStats,
+    expanded_rows: usize,
+}
+
+/// The per-product-state columns, kept apart from the row kernel so the
+/// kernel can intern targets into them while it walks a row.
+struct StateTable<'a> {
+    parts: Vec<&'a Automaton>,
     k: usize,
     keep_guards: bool,
     /// Packed component-state tuples, stride `k`.
@@ -149,25 +164,49 @@ pub struct LazyProduct<'a> {
     row_off: Vec<u32>,
     /// Length of each expanded row.
     row_len: Vec<u32>,
-    /// Flat transition targets: `(guard, target)` pairs in emit order when
-    /// `keep_guards`, first-occurrence-deduplicated targets otherwise.
-    succ: Vec<u32>,
-    /// Parallel guards for `succ` (empty unless `keep_guards`).
-    guards: Vec<Guard>,
+    /// Each state's composed row in emit order (empty unless
+    /// `keep_guards`; empty rows allocate nothing).
+    rows: Vec<Vec<Transition>>,
+    /// Row generation stamp per product state.
+    stamp: Vec<u32>,
     interner: TupleInterner,
     /// Discovery-order worklist: every interned state is pushed once;
     /// [`LazyProduct::expand_all`] drains it LIFO, which is exactly the
     /// classic compose exploration order.
     pending: Vec<u32>,
-    initial: Vec<u32>,
-    stats: ComposeStats,
-    expanded_rows: usize,
+}
+
+impl StateTable<'_> {
+    /// Interns `tuple`, appending a fresh state to every column on first
+    /// sight.
+    fn intern(&mut self, tuple: &[u32]) -> u32 {
+        let candidate = self.props.len() as u32;
+        let (id, fresh) = self.interner.intern(tuple, candidate, &self.arena, self.k);
+        if fresh {
+            self.arena.extend_from_slice(tuple);
+            let props = tuple
+                .iter()
+                .zip(&self.parts)
+                .fold(PropSet::EMPTY, |acc, (&s, p)| {
+                    acc.union(p.props_of(StateId(s)))
+                });
+            self.props.push(props);
+            self.row_off.push(UNEXPANDED);
+            self.row_len.push(0);
+            self.stamp.push(0);
+            if self.keep_guards {
+                self.rows.push(Vec::new());
+            }
+            self.pending.push(id);
+        }
+        id
+    }
 }
 
 impl<'a> LazyProduct<'a> {
     /// Starts a lazy product over `parts`, validating universes and pairwise
-    /// composability and interning the cartesian initial tuples (ids
-    /// `0..initial_count`, same as the classic path).
+    /// composability, compiling the row kernel and interning the cartesian
+    /// initial tuples (ids `0..initial_count`, same as the classic path).
     ///
     /// With `keep_guards` the product retains every composed `(guard,
     /// target)` pair and can be materialized via
@@ -211,24 +250,27 @@ impl<'a> LazyProduct<'a> {
         let all_outputs = parts
             .iter()
             .fold(SignalSet::EMPTY, |acc, p| acc.union(p.outputs()));
-        let roles = signal_roles(parts);
-        let k = parts.len();
         let mut lp = LazyProduct {
-            parts: parts.to_vec(),
+            kernel: RowKernel::compile(parts),
             opts: opts.clone(),
-            roles,
             all_inputs,
             all_outputs,
-            k,
-            keep_guards,
-            arena: Vec::new(),
-            props: Vec::new(),
-            row_off: Vec::new(),
-            row_len: Vec::new(),
+            table: StateTable {
+                parts: parts.to_vec(),
+                k: parts.len(),
+                keep_guards,
+                arena: Vec::new(),
+                props: Vec::new(),
+                row_off: Vec::new(),
+                row_len: Vec::new(),
+                rows: Vec::new(),
+                stamp: Vec::new(),
+                interner: TupleInterner::with_capacity(64),
+                pending: Vec::new(),
+            },
             succ: Vec::new(),
-            guards: Vec::new(),
-            interner: TupleInterner::with_capacity(64),
-            pending: Vec::new(),
+            row_buf: Vec::new(),
+            generation: 0,
             initial: Vec::new(),
             stats: ComposeStats::default(),
             expanded_rows: 0,
@@ -247,35 +289,15 @@ impl<'a> LazyProduct<'a> {
             initial_tuples = next;
         }
         for t in initial_tuples {
-            let id = lp.intern(&t);
+            let id = lp.table.intern(&t);
             lp.initial.push(id);
         }
         Ok(lp)
     }
 
-    /// Interns a tuple, assigning the next id on first sight.
-    fn intern(&mut self, tuple: &[u32]) -> u32 {
-        let candidate = self.props.len() as u32;
-        let (id, fresh) = self.interner.intern(tuple, candidate, &self.arena, self.k);
-        if fresh {
-            self.arena.extend_from_slice(tuple);
-            let props = tuple
-                .iter()
-                .zip(&self.parts)
-                .fold(PropSet::EMPTY, |acc, (&s, p)| {
-                    acc.union(p.props_of(StateId(s)))
-                });
-            self.props.push(props);
-            self.row_off.push(UNEXPANDED);
-            self.row_len.push(0);
-            self.pending.push(id);
-        }
-        id
-    }
-
     /// Number of product states discovered so far.
     pub fn state_count(&self) -> usize {
-        self.props.len()
+        self.table.props.len()
     }
 
     /// Number of rows expanded so far (the work the fused checker reports
@@ -296,12 +318,13 @@ impl<'a> LazyProduct<'a> {
 
     /// The composed interface and universe carriers.
     pub fn universe(&self) -> &crate::universe::Universe {
-        self.parts[0].universe()
+        self.table.parts[0].universe()
     }
 
     /// The product name, `a||b||…` as for the classic path.
     pub fn name(&self) -> String {
-        self.parts
+        self.table
+            .parts
             .iter()
             .map(|p| p.name().to_owned())
             .collect::<Vec<_>>()
@@ -310,35 +333,30 @@ impl<'a> LazyProduct<'a> {
 
     /// The labelling of product state `s` (union of component labellings).
     pub fn props_of(&self, s: u32) -> PropSet {
-        self.props[s as usize]
+        self.table.props[s as usize]
     }
 
     /// The component-state tuple of product state `s`.
     pub fn tuple_of(&self, s: u32) -> &[u32] {
-        let base = s as usize * self.k;
-        &self.arena[base..base + self.k]
+        let base = s as usize * self.table.k;
+        &self.table.arena[base..base + self.table.k]
     }
 
     /// Renders product state `s` in the classic `c0||d1` name format.
     pub fn state_name(&self, s: u32) -> String {
-        self.tuple_of(s)
-            .iter()
-            .zip(&self.parts)
-            .map(|(&cs, p)| p.state_name(StateId(cs)).to_owned())
-            .collect::<Vec<_>>()
-            .join("||")
+        product_state_name(&self.table.parts, self.tuple_of(s))
     }
 
     /// Whether row `s` has been expanded.
     pub fn is_expanded(&self, s: u32) -> bool {
-        self.row_off[s as usize] != UNEXPANDED
+        self.table.row_off[s as usize] != UNEXPANDED
     }
 
     /// Whether product state `s` deadlocks (no feasible joint transition).
     /// Requires the row to be expanded.
     pub fn is_deadlock(&self, s: u32) -> bool {
         debug_assert!(self.is_expanded(s), "deadlock query on unexpanded row");
-        self.row_len[s as usize] == 0
+        self.table.row_len[s as usize] == 0
     }
 
     /// The expanded successor targets of `s`, in emit order — `(guard,
@@ -346,8 +364,8 @@ impl<'a> LazyProduct<'a> {
     /// first occurrences otherwise. Requires the row to be expanded.
     pub fn successors(&self, s: u32) -> &[u32] {
         debug_assert!(self.is_expanded(s), "successor query on unexpanded row");
-        let off = self.row_off[s as usize] as usize;
-        &self.succ[off..off + self.row_len[s as usize] as usize]
+        let off = self.table.row_off[s as usize] as usize;
+        &self.succ[off..off + self.table.row_len[s as usize] as usize]
     }
 
     /// Expands the outgoing row of `s` (no-op when already expanded),
@@ -368,83 +386,57 @@ impl<'a> LazyProduct<'a> {
                 max: self.opts.max_states,
             });
         }
-        let tuple: Vec<StateId> = self.tuple_of(s).iter().map(|&x| StateId(x)).collect();
-        // Collect the row locally first: the emit closure below interns new
-        // target states, which appends to the same arrays a direct row
-        // write would borrow.
-        let mut row: Vec<(Guard, u32)> = Vec::new();
-        let mut packed: Vec<u32> = Vec::with_capacity(self.k);
-        {
-            let LazyProduct {
-                parts,
-                opts,
-                roles,
-                all_inputs,
-                all_outputs,
-                k,
-                arena,
-                props,
-                row_off,
-                row_len,
-                interner,
-                pending,
-                stats,
-                keep_guards,
-                ..
-            } = self;
-            let keep = *keep_guards;
-            expand_tuple(
-                parts,
-                &tuple,
-                roles,
-                *all_inputs,
-                *all_outputs,
-                opts,
-                stats,
-                |guard, target_tuple| {
-                    // Inline intern over the split-borrowed columns (the
-                    // method form would re-borrow `self`).
-                    packed.clear();
-                    packed.extend(target_tuple.iter().map(|t| t.0));
-                    let candidate = props.len() as u32;
-                    let (id, fresh) = interner.intern(&packed, candidate, arena, *k);
-                    if fresh {
-                        arena.extend_from_slice(&packed);
-                        let p = packed
-                            .iter()
-                            .zip(parts.iter())
-                            .fold(PropSet::EMPTY, |acc, (&cs, part)| {
-                                acc.union(part.props_of(StateId(cs)))
-                            });
-                        props.push(p);
-                        row_off.push(UNEXPANDED);
-                        row_len.push(0);
-                        pending.push(id);
-                    }
-                    if keep {
-                        // Classic dedup: drop exact (guard, target) repeats.
-                        if !row.iter().any(|(g, t)| *t == id && g == &guard) {
-                            row.push((guard, id));
-                        }
-                    } else if !row.iter().any(|(_, t)| *t == id) {
-                        row.push((guard, id));
-                    }
-                },
-            )?;
-        }
         let off = u32::try_from(self.succ.len()).expect("transition arena exceeds u32 range");
         assert!(off != UNEXPANDED, "transition arena exceeds u32 range");
-        self.row_off[s as usize] = off;
-        self.row_len[s as usize] = row.len() as u32;
-        if self.keep_guards {
-            self.succ.reserve(row.len());
-            self.guards.reserve(row.len());
-            for (g, t) in row {
-                self.succ.push(t);
-                self.guards.push(g);
-            }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.table.stamp.fill(0);
+            self.generation = 1;
+        }
+        let LazyProduct {
+            kernel,
+            opts,
+            table,
+            succ,
+            row_buf,
+            generation,
+            stats,
+            ..
+        } = self;
+        let (k, keep, generation) = (table.k, table.keep_guards, *generation);
+        let base = s as usize * k;
+        let walked = if kernel.load(&table.arena[base..base + k]) {
+            kernel.walk(opts, stats, |guard, target| {
+                let id = table.intern(target);
+                let repeat =
+                    std::mem::replace(&mut table.stamp[id as usize], generation) == generation;
+                if !keep {
+                    if !repeat {
+                        succ.push(id);
+                    }
+                } else if !repeat || !row_buf.iter().any(|t| t.to.0 == id && t.guard == guard) {
+                    // Classic dedup: drop exact (guard, target) repeats.
+                    row_buf.push(Transition {
+                        guard,
+                        to: StateId(id),
+                    });
+                    succ.push(id);
+                }
+            })
         } else {
-            self.succ.extend(row.iter().map(|&(_, t)| t));
+            Ok(())
+        };
+        if let Err(e) = walked {
+            self.succ.truncate(off as usize);
+            self.row_buf.clear();
+            return Err(e);
+        }
+        self.table.row_off[s as usize] = off;
+        self.table.row_len[s as usize] = self.succ.len() as u32 - off;
+        if self.table.keep_guards && !self.row_buf.is_empty() {
+            let mut row = Vec::with_capacity(self.row_buf.len());
+            row.append(&mut self.row_buf);
+            self.table.rows[s as usize] = row;
         }
         self.expanded_rows += 1;
         Ok(())
@@ -458,45 +450,38 @@ impl<'a> LazyProduct<'a> {
     ///
     /// See [`LazyProduct::expand_row`].
     pub fn expand_all(&mut self) -> Result<()> {
-        while let Some(s) = self.pending.pop() {
+        while let Some(s) = self.table.pending.pop() {
             self.expand_row(s)?;
         }
         Ok(())
     }
 
     /// The sample label of the first composed transition `s → to` in emit
-    /// order — the label [`Guard::sample_label`] would yield on the
-    /// materialized product's row walk. With `keep_guards` this reads the
-    /// stored guard; otherwise it re-runs the row kernel for `s` (cheap: a
-    /// witness path crosses few rows).
+    /// order — the label [`Guard::sample_label`](crate::Guard::sample_label)
+    /// would yield on the materialized product's row walk. An expanded row
+    /// built with `keep_guards` answers from its stored guards; any other
+    /// row re-runs the row kernel for `s` (cheap: a witness path crosses
+    /// few rows) without expanding it.
     pub fn first_label_to(&mut self, s: u32, to: u32) -> Option<Label> {
-        if self.keep_guards {
-            let off = self.row_off[s as usize] as usize;
-            let len = self.row_len[s as usize] as usize;
-            return self.succ[off..off + len]
+        if self.table.keep_guards && self.is_expanded(s) {
+            return self.table.rows[s as usize]
                 .iter()
-                .zip(&self.guards[off..off + len])
-                .find(|(&t, _)| t == to)
-                .and_then(|(_, g)| g.sample_label());
+                .find(|t| t.to.0 == to)
+                .and_then(|t| t.guard.sample_label());
         }
-        let tuple: Vec<StateId> = self.tuple_of(s).iter().map(|&x| StateId(x)).collect();
-        let target_tuple: Vec<StateId> = self.tuple_of(to).iter().map(|&x| StateId(x)).collect();
+        let k = self.table.k;
+        let (from, want) = (s as usize * k, to as usize * k);
+        if !self.kernel.load(&self.table.arena[from..from + k]) {
+            return None;
+        }
+        let want = &self.table.arena[want..want + k];
         let mut found: Option<Label> = None;
         let mut scratch = ComposeStats::default();
-        let _ = expand_tuple(
-            &self.parts,
-            &tuple,
-            &self.roles,
-            self.all_inputs,
-            self.all_outputs,
-            &self.opts,
-            &mut scratch,
-            |guard, tgt| {
-                if found.is_none() && tgt == target_tuple.as_slice() {
-                    found = guard.sample_label();
-                }
-            },
-        );
+        let _ = self.kernel.walk(&self.opts, &mut scratch, |guard, tgt| {
+            if found.is_none() && tgt == want {
+                found = guard.sample_label();
+            }
+        });
         found
     }
 
@@ -535,7 +520,9 @@ impl<'a> LazyProduct<'a> {
 
     /// Materializes the fully expanded product as a [`Composition`]
     /// bit-identical to the classic path: canonical renumbering, per-state
-    /// rows, origin tuples, and the CSR relation.
+    /// rows, origin tuples, and the CSR relation. Rows are moved, not
+    /// cloned; their targets are rewritten only when the canonical order
+    /// differs from the discovery order.
     ///
     /// # Errors
     ///
@@ -549,7 +536,7 @@ impl<'a> LazyProduct<'a> {
     /// cannot reconstitute the transition relation).
     pub fn into_composition(mut self) -> Result<Composition> {
         assert!(
-            self.keep_guards,
+            self.table.keep_guards,
             "into_composition requires a LazyProduct built with keep_guards"
         );
         self.expand_all()?;
@@ -562,45 +549,36 @@ impl<'a> LazyProduct<'a> {
             back[o.expect("expand_all left no unreachable state") as usize] = old as u32;
         }
         let mut states: Vec<StateData> = Vec::with_capacity(n);
-        let mut adj: Vec<Vec<Transition>> = Vec::with_capacity(n);
         let mut origin: Vec<Vec<StateId>> = Vec::with_capacity(n);
-        for (new, &mapped) in back.iter().enumerate() {
-            let old = if identity { new as u32 } else { mapped };
+        for &old in &back {
             states.push(StateData {
                 name: self.state_name(old),
-                props: self.props[old as usize],
+                props: self.table.props[old as usize],
             });
-            let off = self.row_off[old as usize] as usize;
-            let len = self.row_len[old as usize] as usize;
-            adj.push(
-                self.succ[off..off + len]
-                    .iter()
-                    .zip(&self.guards[off..off + len])
-                    .map(|(&t, g)| Transition {
-                        guard: g.clone(),
-                        to: StateId(if identity {
-                            t
-                        } else {
-                            order[t as usize].expect("target discovered")
-                        }),
-                    })
-                    .collect(),
-            );
             origin.push(self.tuple_of(old).iter().map(|&x| StateId(x)).collect());
         }
+        let mut rows = std::mem::take(&mut self.table.rows);
+        let adj: Vec<Vec<Transition>> = if identity {
+            rows
+        } else {
+            let renumber = |t: StateId| StateId(order[t.index()].expect("target discovered"));
+            back.iter()
+                .map(|&old| {
+                    let mut row = std::mem::take(&mut rows[old as usize]);
+                    for t in &mut row {
+                        t.to = renumber(t.to);
+                    }
+                    row
+                })
+                .collect()
+        };
         let initial: Vec<StateId> = self
             .initial
             .iter()
-            .map(|&q| {
-                StateId(if identity {
-                    q
-                } else {
-                    order[q as usize].expect("initial discovered")
-                })
-            })
+            .map(|&q| StateId(order[q as usize].expect("initial discovered")))
             .collect();
         let automaton = Automaton {
-            universe: self.parts[0].universe().clone(),
+            universe: self.table.parts[0].universe().clone(),
             name: self.name(),
             inputs: self.all_inputs,
             outputs: self.all_outputs,
@@ -612,8 +590,14 @@ impl<'a> LazyProduct<'a> {
         let csr = Csr::of(&automaton);
         Ok(Composition {
             automaton,
-            component_names: self.parts.iter().map(|p| p.name().to_owned()).collect(),
+            component_names: self
+                .table
+                .parts
+                .iter()
+                .map(|p| p.name().to_owned())
+                .collect(),
             interfaces: self
+                .table
                 .parts
                 .iter()
                 .map(|p| (p.inputs(), p.outputs()))
@@ -737,6 +721,32 @@ mod tests {
             for &t in &seen {
                 assert_eq!(with.first_label_to(st, t), without.first_label_to(st, t));
             }
+        }
+    }
+
+    #[test]
+    fn first_label_to_reexpands_unexpanded_rows_in_both_modes() {
+        let u = Universe::new();
+        let (c, s) = pair(&u);
+        let rsp = SignalSet::singleton(u.signal("rsp"));
+        for keep_guards in [true, false] {
+            let mut lp =
+                LazyProduct::new(&[&c, &s], &ComposeOptions::default(), keep_guards).unwrap();
+            // Expanding the initial row discovers (waiting, busy) but leaves
+            // its own row unexpanded.
+            lp.expand_row(0).unwrap();
+            let next = lp.successors(0)[0];
+            assert!(!lp.is_expanded(next));
+            let stats = lp.stats();
+            assert_eq!(
+                lp.first_label_to(next, 0),
+                Some(Label::new(rsp, rsp)),
+                "keep_guards = {keep_guards}"
+            );
+            assert_eq!(lp.first_label_to(next, next), None);
+            // Answering re-ran the kernel without expanding or counting.
+            assert!(!lp.is_expanded(next));
+            assert_eq!(lp.stats(), stats);
         }
     }
 

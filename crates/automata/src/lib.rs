@@ -57,6 +57,7 @@ mod dot;
 mod error;
 mod incomplete;
 mod incremental;
+mod kernel;
 mod label;
 mod lazy;
 mod minimize;

@@ -17,10 +17,26 @@ struct Spec {
 }
 
 fn gen_spec(rng: &mut Rng, max_states: usize, max_trans: usize) -> Spec {
+    gen_spec_on(rng, max_states, max_trans, 2, 2)
+}
+
+/// [`gen_spec`] over `n_ins` inputs and `n_outs` outputs (at most 8 each).
+fn gen_spec_on(
+    rng: &mut Rng,
+    max_states: usize,
+    max_trans: usize,
+    n_ins: usize,
+    n_outs: usize,
+) -> Spec {
     let n = rng.range(1..=max_states);
     let n_trans = rng.range(0..=max_trans);
     let transitions = rng.vec(n_trans, |r| {
-        (r.below(n), r.below(4) as u8, r.below(4) as u8, r.below(n))
+        (
+            r.below(n),
+            r.below(1 << n_ins) as u8,
+            r.below(1 << n_outs) as u8,
+            r.below(n),
+        )
     });
     let props = rng.vec(n, |r| r.bool());
     Spec {
@@ -30,8 +46,10 @@ fn gen_spec(rng: &mut Rng, max_states: usize, max_trans: usize) -> Spec {
     }
 }
 
-fn build(u: &Universe, name: &str, ins: [&str; 2], outs: [&str; 2], spec: &Spec) -> Automaton {
-    let mut b = AutomatonBuilder::new(u, name).inputs(ins).outputs(outs);
+fn build(u: &Universe, name: &str, ins: &[&str], outs: &[&str], spec: &Spec) -> Automaton {
+    let mut b = AutomatonBuilder::new(u, name)
+        .inputs(ins.iter().copied())
+        .outputs(outs.iter().copied());
     for s in 0..spec.n_states {
         let sn = format!("{name}{s}");
         b = b.state(&sn);
@@ -63,8 +81,8 @@ fn build(u: &Universe, name: &str, ins: [&str; 2], outs: [&str; 2], spec: &Spec)
 fn gen_pair(rng: &mut Rng, u: &Universe) -> (Automaton, Automaton) {
     let sa = gen_spec(rng, 5, 10);
     let sb = gen_spec(rng, 5, 10);
-    let a = build(u, "a", ["i0", "i1"], ["o0", "o1"], &sa);
-    let b = build(u, "b", ["o0", "o1"], ["i0", "i1"], &sb);
+    let a = build(u, "a", &["i0", "i1"], &["o0", "o1"], &sa);
+    let b = build(u, "b", &["o0", "o1"], &["i0", "i1"], &sb);
     (a, b)
 }
 
@@ -103,6 +121,7 @@ fn assert_compositions_identical(lhs: &Composition, rhs: &Composition, what: &st
     );
     assert_eq!(lhs.origin, rhs.origin, "{what}: origin tuples");
     assert_eq!(lhs.csr, rhs.csr, "{what}: CSR");
+    assert_eq!(lhs.stats, rhs.stats, "{what}: compose stats");
 }
 
 /// The headline invariant: the lazy-product-backed [`compose`] and the
@@ -169,7 +188,7 @@ fn three_part_lazy_compose_matches_reference() {
         let u = Universe::new();
         let (a, b) = gen_pair(rng, &u);
         let sc = gen_spec(rng, 4, 6);
-        let c = build(&u, "c", ["x0", "x1"], ["y0", "y1"], &sc);
+        let c = build(&u, "c", &["x0", "x1"], &["y0", "y1"], &sc);
         let parts = [&a, &b, &c];
         let opts = ComposeOptions::default();
         match (compose(&parts, &opts), compose_reference(&parts, &opts)) {
@@ -186,4 +205,181 @@ fn three_part_lazy_compose_matches_reference() {
             ),
         }
     });
+}
+
+/// Random walks: `n_walks` walks of up to `max_len` choice bytes each
+/// (the `kernel_properties` pattern).
+fn gen_walks(rng: &mut Rng, max_walks: usize, max_len: usize) -> Vec<Vec<u8>> {
+    let n_walks = rng.range(0..=max_walks);
+    rng.vec(n_walks, |r| {
+        let len = r.range(0..=max_len);
+        r.vec(len, |r2| r2.below(4) as u8)
+    })
+}
+
+/// Keeps only the first transition per `(from, label)`, so the learned
+/// observations never contradict each other.
+fn dedupe(mut spec: Spec) -> Spec {
+    let mut seen = std::collections::HashSet::new();
+    spec.transitions
+        .retain(|&(f, a, o, _)| seen.insert((f, a, o)));
+    spec
+}
+
+/// Learns the runs `walks` trace through `m` (first-choice resolution; a
+/// stuck walk becomes a refusal of the empty interaction) into an
+/// incomplete automaton over `m`'s interface.
+fn learn_walks(m: &Automaton, walks: &[Vec<u8>]) -> IncompleteAutomaton {
+    let init = m.initial_states()[0];
+    let mut inc = IncompleteAutomaton::trivial(
+        m.universe(),
+        m.name(),
+        m.inputs(),
+        m.outputs(),
+        m.state_name(init),
+    );
+    for walk in walks {
+        let mut state = init;
+        let mut names = vec![m.state_name(state).to_owned()];
+        let mut labels = Vec::new();
+        let mut blocked = false;
+        for &choice in walk {
+            let ts = m.transitions_from(state);
+            if ts.is_empty() {
+                labels.push(Label::EMPTY);
+                blocked = true;
+                break;
+            }
+            let t = &ts[choice as usize % ts.len()];
+            labels.push(t.guard.as_exact().expect("specs are concrete"));
+            state = t.to;
+            names.push(m.state_name(state).to_owned());
+        }
+        let obs = if blocked {
+            Observation::blocked(names, labels)
+        } else {
+            Observation::regular(names, labels)
+        };
+        let _ = inc.learn(&obs);
+    }
+    inc
+}
+
+/// The chaotic closure of a random learned abstraction of a random
+/// component over `ins`/`outs`: families with free signals on every escape
+/// transition and refusal/transition exclusion lists on every learned
+/// state.
+fn gen_closure(rng: &mut Rng, u: &Universe, name: &str, ins: &[&str], outs: &[&str]) -> Automaton {
+    let spec = dedupe(gen_spec_on(rng, 4, 8, ins.len(), outs.len()));
+    let walks = gen_walks(rng, 3, 5);
+    let chaos_prop = rng.bool().then(|| u.prop("chaos"));
+    let m = build(u, name, ins, outs, &spec);
+    chaotic_closure(&learn_walks(&m, &walks), chaos_prop)
+}
+
+/// `compose` and `compose_reference` agree bit-for-bit on `parts` under
+/// `opts`, or fail with the same error. Returns the product on success.
+fn assert_same_outcome(
+    parts: &[&Automaton],
+    opts: &ComposeOptions,
+    what: &str,
+) -> Option<Composition> {
+    match (compose(parts, opts), compose_reference(parts, opts)) {
+        (Ok(lazy), Ok(reference)) => {
+            assert_compositions_identical(&lazy, &reference, what);
+            Some(lazy)
+        }
+        (Err(el), Err(er)) => {
+            assert_eq!(format!("{el}"), format!("{er}"), "{what}: errors diverge");
+            None
+        }
+        (l, r) => panic!(
+            "{what}: one kernel failed where the other succeeded: lazy ok = {}, reference ok = {}",
+            l.is_ok(),
+            r.is_ok()
+        ),
+    }
+}
+
+/// Expansion caps of the family corpora: 0 and 1 force
+/// `FreeSignalOverflow` on most products (parity of the error and of the
+/// combination it fires at), the default admits them all.
+const CAPS: [usize; 3] = [0, 1, 16];
+
+fn with_cap(expand_cap: usize) -> ComposeOptions {
+    ComposeOptions {
+        expand_cap,
+        ..ComposeOptions::default()
+    }
+}
+
+/// Concrete contexts composed with chaotic closures on cross-wired
+/// alphabets. The closure also reads an input nobody drives (`e0`) and
+/// writes an output nobody reads (`x0`), so its families keep free
+/// signals: symbolic where the guard has no exclusions, enumerated and
+/// filtered against the exclusion list where it has. The context's exact
+/// labels pin the shared signals, exercising handshake conflicts.
+#[test]
+fn closure_compose_matches_reference_on_family_corpus() {
+    let families = std::cell::Cell::new(0u64);
+    let overflows = std::cell::Cell::new(0u64);
+    cases(200, |rng| {
+        let u = Universe::new();
+        let closure = gen_closure(rng, &u, "m", &["i0", "i1", "e0"], &["o0", "o1", "x0"]);
+        let ctx_spec = gen_spec(rng, 4, 8);
+        let ctx = build(&u, "ctx", &["o0", "o1"], &["i0", "i1"], &ctx_spec);
+        let parts = if rng.bool() {
+            [&ctx, &closure]
+        } else {
+            [&closure, &ctx]
+        };
+        for cap in CAPS {
+            match assert_same_outcome(
+                &parts,
+                &with_cap(cap),
+                &format!("closure corpus, cap {cap}"),
+            ) {
+                Some(comp) => families.set(families.get() + comp.stats.family_guards),
+                None => overflows.set(overflows.get() + 1),
+            }
+        }
+    });
+    assert!(families.get() > 0, "the corpus never kept a family guard");
+    assert!(overflows.get() > 0, "the corpus never overflowed a cap");
+}
+
+/// Three parts where two chaotic closures share the internal channel `c0`:
+/// both endpoints' escape families leave it free, so every combination
+/// between them enumerates it; the context drives the first closure.
+#[test]
+fn three_part_closure_compose_matches_reference() {
+    let coupled = std::cell::Cell::new(0u64);
+    cases(100, |rng| {
+        let u = Universe::new();
+        let left = gen_closure(rng, &u, "l", &["i0", "i1"], &["o0", "c0"]);
+        let right = gen_closure(rng, &u, "r", &["c0"], &["y0"]);
+        let ctx_spec = gen_spec_on(rng, 4, 8, 1, 2);
+        let ctx = build(&u, "ctx", &["o0"], &["i0", "i1"], &ctx_spec);
+        let c0 = u.signal("c0");
+        for cap in CAPS {
+            let opts = with_cap(cap);
+            if let Some(comp) = assert_same_outcome(
+                &[&ctx, &left, &right],
+                &opts,
+                &format!("3-part closures, cap {cap}"),
+            ) {
+                let m = &comp.automaton;
+                let both = m.state_ids().flat_map(|s| m.transitions_from(s)).any(|t| {
+                    t.guard
+                        .as_exact()
+                        .is_some_and(|l| l.inputs.contains(c0) && l.outputs.contains(c0))
+                });
+                coupled.set(coupled.get() + u64::from(both));
+            }
+        }
+    });
+    assert!(
+        coupled.get() > 0,
+        "no product ever sent c0 across the free channel"
+    );
 }
