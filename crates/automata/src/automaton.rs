@@ -448,7 +448,7 @@ mod tests {
         let mut m = two_state(&u);
         // add a family transition on s0 that overlaps the exact one
         m.adj[0].push(Transition {
-            guard: Guard::Family(LabelFamily::all(SignalSet::singleton(a), SignalSet::EMPTY)),
+            guard: Guard::from(LabelFamily::all(SignalSet::singleton(a), SignalSet::EMPTY)),
             to: StateId(0),
         });
         assert!(!m.is_deterministic());

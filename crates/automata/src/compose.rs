@@ -558,7 +558,7 @@ fn solve_combo(
             Guard::Exact(Label::new(a_must, b_must))
         } else {
             stats.family_guards += 1;
-            Guard::Family(LabelFamily {
+            Guard::from(LabelFamily {
                 in_must: a_must,
                 in_free: sym_in,
                 out_must: b_must,
@@ -715,7 +715,7 @@ mod tests {
         // any subset of {rsp}.
         let req = u.signal("req");
         let rsp = u.signal("rsp");
-        let fam = Guard::Family(LabelFamily::all(
+        let fam = Guard::from(LabelFamily::all(
             SignalSet::singleton(req),
             SignalSet::singleton(rsp),
         ));
@@ -752,7 +752,7 @@ mod tests {
             .initial("s")
             .transition_guard(
                 "s",
-                Guard::Family(LabelFamily::all(
+                Guard::from(LabelFamily::all(
                     SignalSet::singleton(u.signal("env")),
                     SignalSet::EMPTY,
                 )),
@@ -872,7 +872,7 @@ mod tests {
             .input("req")
             .state("s")
             .initial("s")
-            .transition_guard("s", Guard::Family(fam), "s")
+            .transition_guard("s", Guard::from(fam), "s")
             .build()
             .unwrap();
         // Client that insists on sending req.

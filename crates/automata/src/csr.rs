@@ -12,7 +12,7 @@
 //! [`Composition::csr`](crate::Composition)), so a checker constructed from
 //! a composition never re-derives the relation it just enumerated.
 
-use crate::automaton::Automaton;
+use crate::automaton::{Automaton, StateId};
 use crate::label::Guard;
 
 /// The guard-erased transition relation of one automaton in CSR form, with
@@ -39,7 +39,23 @@ pub struct Csr {
 impl Csr {
     /// Builds the CSR relation of `m`.
     pub fn of(m: &Automaton) -> Csr {
-        let n = m.state_count();
+        Csr::build(m.state_count(), |s, row| {
+            row.extend(
+                m.transitions_from(StateId(s as u32))
+                    .iter()
+                    .filter(|t| match &t.guard {
+                        Guard::Exact(_) => true,
+                        Guard::Family(f) => !f.is_empty(),
+                    })
+                    .map(|t| t.to.0),
+            );
+        })
+    }
+
+    /// Builds the CSR relation of `n` states whose live targets `row(s,
+    /// out)` appends to `out` for each state `s` in turn, in any order and
+    /// with repeats allowed.
+    pub(crate) fn build(n: usize, mut row: impl FnMut(usize, &mut Vec<u32>)) -> Csr {
         // First pass: deduplicated successor lists. Sort-and-dedup keeps the
         // per-state cost at O(d log d) even for the fat out-degrees chaotic
         // closures produce (a linear `contains` scan per edge is O(d²)).
@@ -48,22 +64,14 @@ impl Csr {
         let mut deadlocked = vec![false; n];
         succ_off.push(0u32);
         let mut scratch: Vec<u32> = Vec::new();
-        for s in m.state_ids() {
+        for (s, dead) in deadlocked.iter_mut().enumerate() {
             scratch.clear();
-            for t in m.transitions_from(s) {
-                let live = match &t.guard {
-                    Guard::Exact(_) => true,
-                    Guard::Family(f) => !f.is_empty(),
-                };
-                if live {
-                    scratch.push(t.to.0);
-                }
-            }
+            row(s, &mut scratch);
             scratch.sort_unstable();
             scratch.dedup();
             if scratch.is_empty() {
-                deadlocked[s.index()] = true;
-                scratch.push(s.0); // stutter
+                *dead = true;
+                scratch.push(s as u32); // stutter
             }
             succ.extend_from_slice(&scratch);
             succ_off.push(succ.len() as u32);
@@ -294,7 +302,7 @@ mod tests {
         m.replace_transitions(
             crate::StateId(0),
             vec![Transition {
-                guard: Guard::Family(fam),
+                guard: Guard::from(fam),
                 to: crate::StateId(1),
             }],
         );

@@ -199,11 +199,11 @@ impl ClosureCache {
             }
             if !fam.is_empty() {
                 self.automaton.adj[c1.index()].push(Transition {
-                    guard: Guard::Family(fam.clone()),
+                    guard: Guard::from(fam.clone()),
                     to: self.s_all,
                 });
                 self.automaton.adj[c1.index()].push(Transition {
-                    guard: Guard::Family(fam),
+                    guard: Guard::from(fam),
                     to: self.s_delta,
                 });
             }

@@ -247,7 +247,7 @@ impl<'a> RowKernel<'a> {
                     Guard::Exact(Label::new(SignalSet(a), SignalSet(b)))
                 } else {
                     stats.family_guards += 1;
-                    Guard::Family(LabelFamily {
+                    Guard::from(LabelFamily {
                         in_must: SignalSet(a),
                         in_free: SignalSet(sym_in),
                         out_must: SignalSet(b),

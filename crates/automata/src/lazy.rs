@@ -8,9 +8,12 @@
 //!   components), so a product state is a slice, not a `Vec`;
 //! * expanded rows live in CSR-style blocks (`row_off`/`row_len` into one
 //!   flat target array), with `u32::MAX` marking rows not yet expanded;
-//! * the tuple→id interner is an open-addressed, power-of-two table keyed
-//!   by a packed multiply-xor hash of the tuple, probing the arena
-//!   directly — no per-key allocation, no `Vec<StateId>` clones;
+//! * the tuple→id interner is an open-addressed, power-of-two table whose
+//!   slots hold a `u64` code of the tuple beside its id: the exact
+//!   mixed-radix number of the tuple when the component sizes allow it
+//!   (a code match is a hit, the arena is never read), a multiply-xor hash
+//!   confirmed against the arena otherwise — no per-key allocation, no
+//!   `Vec<StateId>` clones;
 //! * duplicate row entries are dropped with a generation stamp per product
 //!   state instead of a scan of the row built so far.
 //!
@@ -24,13 +27,15 @@
 //! [`compose_reference`](crate::compose::compose_reference) (this is how
 //! [`compose`](crate::compose::compose) itself is implemented).
 //!
-//! Storage modes: with `keep_guards` each expanded row is also written
-//! into its final `Vec<Transition>`, which
+//! Storage modes: both record each row's deduplicated targets. With
+//! `keep_guards` each expanded row is also written into its final
+//! `Vec<Transition>`, which
 //! [`into_composition`](LazyProduct::into_composition) moves into the
-//! product automaton; without it only deduplicated targets are stored — an
-//! order of magnitude less memory at 10^6 states — and counterexample
-//! labels are recovered by re-running the row kernel on the few rows a
-//! witness path actually crosses ([`LazyProduct::first_label_to`]).
+//! product automaton, building the CSR relation from the recorded targets;
+//! without it only the targets are stored — an order of magnitude less
+//! memory at 10^6 states — and counterexample labels are recovered by
+//! re-running the row kernel on the few rows a witness path actually
+//! crosses ([`LazyProduct::first_label_to`]).
 
 use crate::automaton::{Automaton, StateData, StateId, Transition};
 use crate::compose::{ComposeOptions, ComposeStats, Composition};
@@ -45,20 +50,42 @@ use crate::signal::SignalSet;
 /// expanded yet.
 const UNEXPANDED: u32 = u32::MAX;
 
+/// Sentinel in the canonical order for a state not numbered yet.
+const UNNUMBERED: u32 = u32::MAX;
+
 /// Open-addressed tuple→id interner over the tuple arena.
 ///
-/// Slots store product-state ids; the keys themselves live in the arena
-/// (`arena[id*k .. id*k+k]`), so probing compares flat `u32` slices and
-/// inserting allocates nothing. Capacity is a power of two, grown at 7/8
-/// load by rehashing the ids (the arena is the source of truth).
+/// Each slot stores a `u64` code of its tuple next to the product-state id;
+/// the tuples themselves live in the arena (`arena[id*k .. id*k+k]`), so
+/// inserting allocates nothing. The code is the tuple's mixed-radix number
+/// `Σ qᵢ·∏_{j<i}|Q_j|` when the product of the component sizes fits in a
+/// `u64`: it is then injective, so a code match is a hit without touching
+/// the arena. Otherwise the code is [`tuple_hash`] and a match is confirmed
+/// against the arena. Capacity is a power of two, doubled before an insert
+/// would reach 1/2 load by re-slotting the stored codes.
 #[derive(Debug, Clone)]
 struct TupleInterner {
-    slots: Vec<u32>,
-    mask: usize,
+    slots: Vec<Slot>,
+    /// `64 - log2(slots.len())`: a slot index is the top bits of the
+    /// scrambled code.
+    shift: u32,
     len: usize,
+    /// Mixed-radix place values `∏_{j<i}|Q_j|` when codes are exact, `None`
+    /// when they are hashed.
+    places: Option<Vec<u64>>,
 }
 
-const EMPTY_SLOT: u32 = u32::MAX;
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    code: u64,
+    /// `u32::MAX` marks a free slot.
+    id: u32,
+}
+
+const EMPTY_SLOT: Slot = Slot {
+    code: 0,
+    id: u32::MAX,
+};
 
 /// Multiply-xor hash of a packed tuple. The per-element fold mixes with a
 /// 64-bit odd constant (splitmix64's increment) so that tuples differing in
@@ -74,56 +101,83 @@ fn tuple_hash(tuple: &[u32]) -> u64 {
 }
 
 impl TupleInterner {
-    fn with_capacity(cap: usize) -> TupleInterner {
+    /// An interner for tuples whose `i`-th coordinate is below `sizes[i]`,
+    /// with room for `cap` tuples before its first growth.
+    fn new(sizes: impl IntoIterator<Item = usize>, cap: usize) -> TupleInterner {
+        let mut places = Vec::new();
+        let mut place = Some(1u64);
+        for size in sizes {
+            places.push(place.unwrap_or(0));
+            place = place.and_then(|p| p.checked_mul(u64::try_from(size).ok()?));
+        }
         let cap = cap.next_power_of_two().max(16);
         TupleInterner {
             slots: vec![EMPTY_SLOT; cap],
-            mask: cap - 1,
+            shift: 64 - cap.trailing_zeros(),
             len: 0,
+            places: place.map(|_| places),
         }
     }
 
-    /// Looks up `tuple`, inserting `id` if absent. Returns the resident id.
-    /// `arena` is the packed tuple storage keyed by stride `k`; `tuple` must
-    /// not yet be in the arena when inserting (the caller appends it on
-    /// miss).
+    fn code(&self, tuple: &[u32]) -> u64 {
+        match &self.places {
+            Some(places) => tuple
+                .iter()
+                .zip(places)
+                .map(|(&q, &p)| u64::from(q) * p)
+                .sum(),
+            None => tuple_hash(tuple),
+        }
+    }
+
+    /// The first slot to probe for `code`: Fibonacci hashing spreads the
+    /// consecutive codes of neighbouring tuples across the table.
+    fn home(&self, code: u64) -> usize {
+        (code.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// Looks up `tuple`, inserting `id` if absent. Returns the resident id
+    /// and whether it was inserted. `arena` is the packed tuple storage
+    /// keyed by stride `k`; `tuple` must not yet be in the arena when
+    /// inserting (the caller appends it on miss).
     fn intern(&mut self, tuple: &[u32], id: u32, arena: &[u32], k: usize) -> (u32, bool) {
         if (self.len + 1) * 2 >= self.slots.len() {
-            self.grow(arena, k);
+            self.grow();
         }
-        let mut i = tuple_hash(tuple) as usize & self.mask;
+        let code = self.code(tuple);
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(code);
         loop {
             let slot = self.slots[i];
-            if slot == EMPTY_SLOT {
-                self.slots[i] = id;
+            if slot.id == EMPTY_SLOT.id {
+                self.slots[i] = Slot { code, id };
                 self.len += 1;
                 return (id, true);
             }
-            let base = slot as usize * k;
-            if &arena[base..base + k] == tuple {
-                return (slot, false);
+            if slot.code == code
+                && (self.places.is_some() || {
+                    let base = slot.id as usize * k;
+                    &arena[base..base + k] == tuple
+                })
+            {
+                return (slot.id, false);
             }
-            i = (i + 1) & self.mask;
+            i = (i + 1) & mask;
         }
     }
 
-    fn grow(&mut self, arena: &[u32], k: usize) {
+    fn grow(&mut self) {
         let new_cap = self.slots.len() * 2;
-        let mut next = vec![EMPTY_SLOT; new_cap];
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; new_cap]);
+        self.shift -= 1;
         let mask = new_cap - 1;
-        for &slot in &self.slots {
-            if slot == EMPTY_SLOT {
-                continue;
-            }
-            let base = slot as usize * k;
-            let mut i = tuple_hash(&arena[base..base + k]) as usize & mask;
-            while next[i] != EMPTY_SLOT {
+        for slot in old.into_iter().filter(|s| s.id != EMPTY_SLOT.id) {
+            let mut i = self.home(slot.code);
+            while self.slots[i].id != EMPTY_SLOT.id {
                 i = (i + 1) & mask;
             }
-            next[i] = slot;
+            self.slots[i] = slot;
         }
-        self.slots = next;
-        self.mask = mask;
     }
 }
 
@@ -136,9 +190,8 @@ pub struct LazyProduct<'a> {
     all_inputs: SignalSet,
     all_outputs: SignalSet,
     table: StateTable<'a>,
-    /// Flat transition targets: one per `(guard, target)` row entry in
-    /// emit order when `keep_guards`, first-occurrence-deduplicated targets
-    /// otherwise.
+    /// Flat successor targets: each row's first-occurrence-deduplicated
+    /// targets in emit order, in both storage modes.
     succ: Vec<u32>,
     /// Scratch row reused across expansions (`keep_guards` only).
     row_buf: Vec<Transition>,
@@ -265,7 +318,7 @@ impl<'a> LazyProduct<'a> {
                 row_len: Vec::new(),
                 rows: Vec::new(),
                 stamp: Vec::new(),
-                interner: TupleInterner::with_capacity(64),
+                interner: TupleInterner::new(parts.iter().map(|p| p.state_count()), 64),
                 pending: Vec::new(),
             },
             succ: Vec::new(),
@@ -359,9 +412,10 @@ impl<'a> LazyProduct<'a> {
         self.table.row_len[s as usize] == 0
     }
 
-    /// The expanded successor targets of `s`, in emit order — `(guard,
-    /// target)` pairs when `keep_guards` (targets may repeat), deduplicated
-    /// first occurrences otherwise. Requires the row to be expanded.
+    /// The distinct successor targets of `s`, in order of first emission —
+    /// the same in both storage modes (with `keep_guards`, the targets of
+    /// the stored `(guard, target)` row with repeats dropped). Requires the
+    /// row to be expanded.
     pub fn successors(&self, s: u32) -> &[u32] {
         debug_assert!(self.is_expanded(s), "successor query on unexpanded row");
         let off = self.table.row_off[s as usize] as usize;
@@ -410,17 +464,15 @@ impl<'a> LazyProduct<'a> {
                 let id = table.intern(target);
                 let repeat =
                     std::mem::replace(&mut table.stamp[id as usize], generation) == generation;
-                if !keep {
-                    if !repeat {
-                        succ.push(id);
-                    }
-                } else if !repeat || !row_buf.iter().any(|t| t.to.0 == id && t.guard == guard) {
-                    // Classic dedup: drop exact (guard, target) repeats.
+                if !repeat {
+                    succ.push(id);
+                }
+                // Classic dedup: drop exact (guard, target) repeats.
+                if keep && (!repeat || !row_buf.iter().any(|t| t.to.0 == id && t.guard == guard)) {
                     row_buf.push(Transition {
                         guard,
                         to: StateId(id),
                     });
-                    succ.push(id);
                 }
             })
         } else {
@@ -488,33 +540,31 @@ impl<'a> LazyProduct<'a> {
     /// The canonical discovery-order numbering: initial states first (in
     /// cartesian order), then depth-first off a LIFO stack following each
     /// row in emit order — the numbering the classic compose assigns. The
-    /// result maps current ids to canonical ids (`None` for states that are
-    /// unreachable under the canonical traversal, which cannot happen once
-    /// [`expand_all`](LazyProduct::expand_all) ran).
-    fn canonical_order(&self) -> Vec<Option<u32>> {
+    /// result maps current ids to canonical ids. Call only once every row
+    /// is expanded ([`expand_all`](LazyProduct::expand_all)), so that every
+    /// discovered state is reached.
+    fn canonical_order(&self) -> Vec<u32> {
         let n = self.state_count();
-        let mut order: Vec<Option<u32>> = vec![None; n];
+        let mut order: Vec<u32> = vec![UNNUMBERED; n];
         let mut next = 0u32;
         let mut stack: Vec<u32> = Vec::with_capacity(n);
         for &q in &self.initial {
-            if order[q as usize].is_none() {
-                order[q as usize] = Some(next);
+            if order[q as usize] == UNNUMBERED {
+                order[q as usize] = next;
                 next += 1;
                 stack.push(q);
             }
         }
         while let Some(s) = stack.pop() {
-            if !self.is_expanded(s) {
-                continue;
-            }
             for &t in self.successors(s) {
-                if order[t as usize].is_none() {
-                    order[t as usize] = Some(next);
+                if order[t as usize] == UNNUMBERED {
+                    order[t as usize] = next;
                     next += 1;
                     stack.push(t);
                 }
             }
         }
+        assert_eq!(next as usize, n, "expand_all left no unreachable state");
         order
     }
 
@@ -542,11 +592,11 @@ impl<'a> LazyProduct<'a> {
         self.expand_all()?;
         let order = self.canonical_order();
         let n = self.state_count();
-        let identity = order.iter().enumerate().all(|(i, o)| *o == Some(i as u32));
+        let identity = order.iter().enumerate().all(|(i, &o)| o == i as u32);
         // new id -> old id
         let mut back: Vec<u32> = vec![0; n];
-        for (old, o) in order.iter().enumerate() {
-            back[o.expect("expand_all left no unreachable state") as usize] = old as u32;
+        for (old, &o) in order.iter().enumerate() {
+            back[o as usize] = old as u32;
         }
         let mut states: Vec<StateData> = Vec::with_capacity(n);
         let mut origin: Vec<Vec<StateId>> = Vec::with_capacity(n);
@@ -561,12 +611,11 @@ impl<'a> LazyProduct<'a> {
         let adj: Vec<Vec<Transition>> = if identity {
             rows
         } else {
-            let renumber = |t: StateId| StateId(order[t.index()].expect("target discovered"));
             back.iter()
                 .map(|&old| {
                     let mut row = std::mem::take(&mut rows[old as usize]);
                     for t in &mut row {
-                        t.to = renumber(t.to);
+                        t.to = StateId(order[t.to.index()]);
                     }
                     row
                 })
@@ -575,7 +624,7 @@ impl<'a> LazyProduct<'a> {
         let initial: Vec<StateId> = self
             .initial
             .iter()
-            .map(|&q| StateId(order[q as usize].expect("initial discovered")))
+            .map(|&q| StateId(order[q as usize]))
             .collect();
         let automaton = Automaton {
             universe: self.table.parts[0].universe().clone(),
@@ -587,7 +636,12 @@ impl<'a> LazyProduct<'a> {
             initial,
         };
         automaton.validate()?;
-        let csr = Csr::of(&automaton);
+        // Every kernel guard admits at least one label, so the deduplicated
+        // successor rows are exactly the live targets `Csr::of` would
+        // collect from the guards.
+        let csr = Csr::build(n, |s, row| {
+            row.extend(self.successors(back[s]).iter().map(|&t| order[t as usize]));
+        });
         Ok(Composition {
             automaton,
             component_names: self
@@ -640,22 +694,26 @@ mod tests {
     }
 
     #[test]
-    fn interner_interns_and_grows() {
-        let mut arena: Vec<u32> = Vec::new();
-        let mut it = TupleInterner::with_capacity(4);
-        for i in 0..200u32 {
-            let tuple = [i, i.wrapping_mul(7)];
-            let id = arena.len() as u32 / 2;
-            let (got, fresh) = it.intern(&tuple, id, &arena, 2);
-            assert!(fresh);
-            assert_eq!(got, id);
-            arena.extend_from_slice(&tuple);
-        }
-        for i in 0..200u32 {
-            let tuple = [i, i.wrapping_mul(7)];
-            let (got, fresh) = it.intern(&tuple, 999, &arena, 2);
-            assert!(!fresh);
-            assert_eq!(got, i);
+    fn interner_interns_both_code_kinds_through_growth() {
+        // 200 × 1400 fits a u64, so codes are exact; two coordinates of
+        // usize::MAX values do not, so codes are hashed.
+        for (sizes, exact) in [([200, 1400], true), ([usize::MAX; 2], false)] {
+            let mut it = TupleInterner::new(sizes, 4);
+            assert_eq!(it.places.is_some(), exact);
+            let mut arena: Vec<u32> = Vec::new();
+            for i in 0..200u32 {
+                let tuple = [i, i * 7];
+                let id = arena.len() as u32 / 2;
+                assert_eq!(it.intern(&tuple, id, &arena, 2), (id, true));
+                arena.extend_from_slice(&tuple);
+            }
+            assert_eq!(it.len, 200);
+            assert!(it.slots.len() >= 2 * 200, "the table grew past 1/2 load");
+            for i in 0..200u32 {
+                assert_eq!(it.intern(&[i, i * 7], 999, &arena, 2), (i, false));
+            }
+            // Swapped coordinates are distinct tuples under both codes.
+            assert_eq!(it.intern(&[7, 1], 200, &arena, 2), (200, true));
         }
     }
 
@@ -711,14 +769,9 @@ mod tests {
         without.expand_all().unwrap();
         assert_eq!(with.state_count(), without.state_count());
         for st in 0..with.state_count() as u32 {
-            let mut seen = Vec::new();
-            for &t in with.successors(st) {
-                if !seen.contains(&t) {
-                    seen.push(t);
-                }
-            }
-            assert_eq!(without.successors(st), seen.as_slice());
-            for &t in &seen {
+            let succ = with.successors(st).to_vec();
+            assert_eq!(without.successors(st), succ.as_slice());
+            for &t in &succ {
                 assert_eq!(with.first_label_to(st, t), without.first_label_to(st, t));
             }
         }

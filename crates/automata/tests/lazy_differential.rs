@@ -383,3 +383,42 @@ fn three_part_closure_compose_matches_reference() {
         "no product ever sent c0 across the free channel"
     );
 }
+
+/// A product too wide for the exact mixed-radix tuple code: 23 components
+/// of 7 states give 7²³ > 2⁶⁴ potential tuples, so the interner falls back
+/// to hashed codes confirmed against the arena. Each component steps
+/// `sⱼ → sⱼ₊₁ (mod 7)` on the empty label, so the components move in
+/// lockstep: 7 reachable states, one combination per row.
+#[test]
+fn hashed_tuple_codes_match_reference() {
+    let u = Universe::new();
+    let parts: Vec<Automaton> = (0..23)
+        .map(|i| {
+            let name = format!("c{i}");
+            let mut b = AutomatonBuilder::new(&u, &name);
+            for j in 0..7 {
+                b = b.state(&format!("s{j}"));
+            }
+            b = b.initial("s0");
+            for j in 0..7 {
+                b = b.transition(&format!("s{j}"), [], [], &format!("s{}", (j + 1) % 7));
+            }
+            b.build().expect("ring builds")
+        })
+        .collect();
+    let parts: Vec<&Automaton> = parts.iter().collect();
+    let opts = ComposeOptions::default();
+    let comp = assert_same_outcome(&parts, &opts, "23-part ring").expect("ring composes");
+    assert_eq!(comp.automaton.state_count(), 7);
+    assert_eq!(comp.stats.combos, 7);
+
+    let mut targets = LazyProduct::new(&parts, &opts, false).expect("lazy product");
+    targets.expand_all().expect("within limits");
+    let mut kept = LazyProduct::new(&parts, &opts, true).expect("lazy product");
+    kept.expand_all().expect("within limits");
+    assert_eq!(targets.state_count(), 7);
+    for s in 0..7 {
+        assert_eq!(targets.successors(s), kept.successors(s), "row {s}");
+        assert_eq!(targets.successors(s), &[(s + 1) % 7]);
+    }
+}
