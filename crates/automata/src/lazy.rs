@@ -8,12 +8,14 @@
 //!   components), so a product state is a slice, not a `Vec`;
 //! * expanded rows live in CSR-style blocks (`row_off`/`row_len` into one
 //!   flat target array), with `u32::MAX` marking rows not yet expanded;
-//! * the tuple→id interner is an open-addressed, power-of-two table whose
-//!   slots hold a `u64` code of the tuple beside its id: the exact
+//! * the tuple→id interner keys each tuple by a `u64` code: the exact
 //!   mixed-radix number of the tuple when the component sizes allow it
 //!   (a code match is a hit, the arena is never read), a multiply-xor hash
-//!   confirmed against the arena otherwise — no per-key allocation, no
-//!   `Vec<StateId>` clones;
+//!   confirmed against the arena otherwise. Codes are probed in an
+//!   open-addressed, power-of-two table — unless they are exact and a
+//!   `u32` per cell of the `∏|Q_i|` grid costs no more bytes than that
+//!   table, in which case the grid is direct-mapped and an intern is one
+//!   indexed load. No per-key allocation, no `Vec<StateId>` clones;
 //! * duplicate row entries are dropped with a generation stamp per product
 //!   state instead of a scan of the row built so far.
 //!
@@ -53,7 +55,7 @@ const UNEXPANDED: u32 = u32::MAX;
 /// Sentinel in the canonical order for a state not numbered yet.
 const UNNUMBERED: u32 = u32::MAX;
 
-/// Open-addressed tuple→id interner over the tuple arena.
+/// Tuple→id interner over the tuple arena.
 ///
 /// Each slot stores a `u64` code of its tuple next to the product-state id;
 /// the tuples themselves live in the arena (`arena[id*k .. id*k+k]`), so
@@ -63,6 +65,14 @@ const UNNUMBERED: u32 = u32::MAX;
 /// the arena. Otherwise the code is [`tuple_hash`] and a match is confirmed
 /// against the arena. Capacity is a power of two, doubled before an insert
 /// would reach 1/2 load by re-slotting the stored codes.
+///
+/// Exact codes index a grid of `∏|Q_i|` cells. Once a `u32` per cell takes
+/// no more bytes than the slot table would (checked on construction and at
+/// every growth against the capacity being allocated), the table is
+/// replaced by a direct map `dense[code] = id`: the resident ids move over
+/// from their stored codes, and every later intern is one indexed load with
+/// no hash, no probe and no further growth. Sparse grids and hashed codes
+/// keep the table, so the direct map never costs more memory than it saves.
 #[derive(Debug, Clone)]
 struct TupleInterner {
     slots: Vec<Slot>,
@@ -73,6 +83,12 @@ struct TupleInterner {
     /// Mixed-radix place values `∏_{j<i}|Q_j|` when codes are exact, `None`
     /// when they are hashed.
     places: Option<Vec<u64>>,
+    /// Number of cells of the exact-code grid, `∏|Q_i|` (unused when codes
+    /// are hashed).
+    cells: u64,
+    /// The direct map, id per exact code with `u32::MAX` for absent, once
+    /// it has replaced `slots`.
+    dense: Option<Vec<u32>>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -111,12 +127,35 @@ impl TupleInterner {
             place = place.and_then(|p| p.checked_mul(u64::try_from(size).ok()?));
         }
         let cap = cap.next_power_of_two().max(16);
-        TupleInterner {
+        let mut it = TupleInterner {
             slots: vec![EMPTY_SLOT; cap],
             shift: 64 - cap.trailing_zeros(),
             len: 0,
             places: place.map(|_| places),
+            cells: place.unwrap_or(0),
+            dense: None,
+        };
+        it.switch_to_dense(cap);
+        it
+    }
+
+    /// Replaces the slot table by the direct map if codes are exact and
+    /// the map fits in the bytes of a `cap`-slot table, moving the resident
+    /// ids over by their stored codes. Returns whether it switched.
+    fn switch_to_dense(&mut self, cap: usize) -> bool {
+        let fits = self.places.is_some()
+            && (std::mem::size_of::<u32>() as u128) * u128::from(self.cells)
+                <= (std::mem::size_of::<Slot>() as u128) * cap as u128;
+        if fits {
+            let mut dense = vec![EMPTY_SLOT.id; self.cells as usize];
+            for slot in std::mem::take(&mut self.slots) {
+                if slot.id != EMPTY_SLOT.id {
+                    dense[slot.code as usize] = slot.id;
+                }
+            }
+            self.dense = Some(dense);
         }
+        fits
     }
 
     fn code(&self, tuple: &[u32]) -> u64 {
@@ -141,10 +180,19 @@ impl TupleInterner {
     /// keyed by stride `k`; `tuple` must not yet be in the arena when
     /// inserting (the caller appends it on miss).
     fn intern(&mut self, tuple: &[u32], id: u32, arena: &[u32], k: usize) -> (u32, bool) {
-        if (self.len + 1) * 2 >= self.slots.len() {
+        if self.dense.is_none() && (self.len + 1) * 2 >= self.slots.len() {
             self.grow();
         }
         let code = self.code(tuple);
+        if let Some(dense) = &mut self.dense {
+            let resident = &mut dense[code as usize];
+            if *resident != EMPTY_SLOT.id {
+                return (*resident, false);
+            }
+            *resident = id;
+            self.len += 1;
+            return (id, true);
+        }
         let mask = self.slots.len() - 1;
         let mut i = self.home(code);
         loop {
@@ -168,6 +216,9 @@ impl TupleInterner {
 
     fn grow(&mut self) {
         let new_cap = self.slots.len() * 2;
+        if self.switch_to_dense(new_cap) {
+            return;
+        }
         let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; new_cap]);
         self.shift -= 1;
         let mask = new_cap - 1;
@@ -714,6 +765,79 @@ mod tests {
             }
             // Swapped coordinates are distinct tuples under both codes.
             assert_eq!(it.intern(&[7, 1], 200, &arena, 2), (200, true));
+        }
+    }
+
+    /// Interns `[i % 16, i / 16]` for `i` in `0..n` with fresh ids, the
+    /// arena kept in step, and returns how many slots the table had after
+    /// each insert (0 once direct-mapped).
+    fn intern_grid(it: &mut TupleInterner, arena: &mut Vec<u32>, n: u32) -> Vec<usize> {
+        (0..n)
+            .map(|i| {
+                let tuple = [i % 16, i / 16];
+                assert_eq!(it.intern(&tuple, i, arena, 2), (i, true));
+                arena.extend_from_slice(&tuple);
+                it.slots.len()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn interner_switches_to_the_direct_map_when_it_is_no_larger() {
+        // 16 × 16 = 256 cells of 4 bytes fit 64 slots of 16 bytes exactly:
+        // the growth from 32 to 64 slots (at the 16th insert) switches.
+        assert_eq!(std::mem::size_of::<Slot>(), 16);
+        let mut it = TupleInterner::new([16, 16], 4);
+        let mut arena = Vec::new();
+        let caps = intern_grid(&mut it, &mut arena, 40);
+        assert_eq!(caps[..7], [16; 7]);
+        assert_eq!(caps[7..15], [32; 8]);
+        assert!(caps[15..].iter().all(|&c| c == 0), "switched at insert 16");
+        assert_eq!(it.dense.as_ref().map(Vec::len), Some(256));
+        assert_eq!(it.len, 40);
+        // Tuples interned before and after the switch keep their ids.
+        for i in 0..40 {
+            assert_eq!(it.intern(&[i % 16, i / 16], 999, &arena, 2), (i, false));
+        }
+        assert_eq!(it.intern(&[15, 15], 40, &arena, 2), (40, true));
+        // A grid that fits the first table is direct-mapped from the start.
+        assert!(TupleInterner::new([4, 4], 4).dense.is_some());
+    }
+
+    #[test]
+    fn interner_keeps_the_table_while_the_direct_map_is_larger() {
+        // 16 × 17 = 272 cells need 1,088 bytes: more than 64 slots (1,024),
+        // so the switch waits for the growth to 128 slots.
+        let mut it = TupleInterner::new([16, 17], 4);
+        let mut arena = Vec::new();
+        let caps = intern_grid(&mut it, &mut arena, 40);
+        assert_eq!(caps[15..31], [64; 16]);
+        assert!(caps[31..].iter().all(|&c| c == 0), "switched at insert 32");
+        // A sparse grid (10⁸ cells, 200 tuples) never switches.
+        let mut it = TupleInterner::new([10_000, 10_000], 4);
+        let mut arena = Vec::new();
+        let caps = intern_grid(&mut it, &mut arena, 200);
+        assert_eq!(caps.last(), Some(&512));
+        assert!(it.dense.is_none());
+        assert!(4 * it.cells > 16 * it.slots.len() as u64);
+    }
+
+    #[test]
+    fn hashed_interner_never_switches() {
+        // Three coordinates of 2³² values overflow a u64 code, so codes
+        // are hashed and there is no grid to map, however many tuples.
+        let mut it = TupleInterner::new([1 << 32; 3], 4);
+        assert!(it.places.is_none());
+        let mut arena = Vec::new();
+        for i in 0..5000u32 {
+            let tuple = [i % 16, i / 16, 0];
+            assert_eq!(it.intern(&tuple, i, &arena, 3), (i, true));
+            arena.extend_from_slice(&tuple);
+            assert!(it.dense.is_none());
+        }
+        assert_eq!(it.slots.len(), 16_384);
+        for i in 0..5000 {
+            assert_eq!(it.intern(&[i % 16, i / 16, 0], 9999, &arena, 3), (i, false));
         }
     }
 

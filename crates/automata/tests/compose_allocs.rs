@@ -61,8 +61,10 @@ static GLOBAL: Counting = Counting;
 const MAX_ALLOCATIONS_PER_STATE: f64 = 4.0;
 
 /// The budget of bytes requested per product state (112-byte transitions
-/// with an inline `LabelFamily` needed 1,466).
-const MAX_BYTES_PER_STATE: f64 = 1250.0;
+/// with an inline `LabelFamily` needed 1,466; 64-byte transitions with the
+/// probed 16-byte-slot tuple table 1,152; the direct-mapped grid needs
+/// 1,064).
+const MAX_BYTES_PER_STATE: f64 = 1100.0;
 
 /// `k` independent tickers of `m` states each: every state either idles or
 /// emits its private `tick` and advances, so the product is the full

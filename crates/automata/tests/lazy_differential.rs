@@ -422,3 +422,100 @@ fn hashed_tuple_codes_match_reference() {
         assert_eq!(targets.successors(s), &[(s + 1) % 7]);
     }
 }
+
+/// `k` independent tickers of `m` states each: every state either idles or
+/// emits its private `tick` and advances, so the product is the full `m^k`
+/// grid with `2^k` combinations per row.
+fn tickers(u: &Universe, k: usize, m: usize) -> Vec<Automaton> {
+    (0..k)
+        .map(|i| {
+            let tick = format!("tick{i}");
+            let mut b = AutomatonBuilder::new(u, &format!("t{i}")).output(&tick);
+            for j in 0..m {
+                b = b.state(&format!("s{j}"));
+            }
+            b = b.initial("s0");
+            for j in 0..m {
+                let here = format!("s{j}");
+                let next = format!("s{}", (j + 1) % m);
+                b = b.transition(&here, [], [], &here);
+                b = b.transition(&here, [], [tick.as_str()], &next);
+            }
+            b.build().expect("ticker is well-formed")
+        })
+        .collect()
+}
+
+/// `k` rings of `m` states stepping in lockstep on the empty label: `m`
+/// reachable states out of an `m^k` grid.
+fn lockstep_rings(u: &Universe, k: usize, m: usize) -> Vec<Automaton> {
+    (0..k)
+        .map(|i| {
+            let mut b = AutomatonBuilder::new(u, &format!("r{i}"));
+            for j in 0..m {
+                b = b.state(&format!("s{j}"));
+            }
+            b = b.initial("s0");
+            for j in 0..m {
+                b = b.transition(&format!("s{j}"), [], [], &format!("s{}", (j + 1) % m));
+            }
+            b.build().expect("ring builds")
+        })
+        .collect()
+}
+
+/// Expands `parts` in both storage modes — the first `head` rows by lowest
+/// unexpanded id, or with `late_first` by highest, then the rest in
+/// discovery order — and checks the two modes hold the same states and successor
+/// rows. The `keep_guards` product is then finished by `into_composition`
+/// and must be bit-identical to `compose_reference`.
+fn assert_lazy_modes_match_reference(parts: &[&Automaton], late_first: bool, head: usize) {
+    let opts = ComposeOptions::default();
+    let reference = compose_reference(parts, &opts).expect("reference composes");
+    let mut modes = [true, false].map(|keep| LazyProduct::new(parts, &opts, keep).unwrap());
+    for lp in &mut modes {
+        for _ in 0..head {
+            let next = (0..lp.state_count() as u32)
+                .filter(|&s| !lp.is_expanded(s))
+                .reduce(|a, b| if late_first { b } else { a });
+            match next {
+                Some(s) => lp.expand_row(s).expect("within limits"),
+                None => break,
+            }
+        }
+        lp.expand_all().expect("within limits");
+    }
+    let [kept, targets] = modes;
+    assert_eq!(kept.state_count(), targets.state_count());
+    assert_eq!(kept.state_count(), reference.automaton.state_count());
+    for s in 0..kept.state_count() as u32 {
+        assert_eq!(kept.tuple_of(s), targets.tuple_of(s), "state {s} tuple");
+        assert_eq!(kept.successors(s), targets.successors(s), "row {s}");
+    }
+    let what = format!("late_first = {late_first}, head = {head}");
+    assert_compositions_identical(&kept.into_composition().unwrap(), &reference, &what);
+}
+
+/// Three tickers of 7 states: the 343-cell grid needs 1,372 bytes as a
+/// direct map, more than the interner's first 64-slot table (1,024) and
+/// less than its second (2,048), so the interner switches from probing to
+/// the direct map at its first growth, with rows already expanded. Ids
+/// interned before and after the switch must number the product exactly
+/// as the reference does, whatever order the rows are expanded in.
+#[test]
+fn dense_switch_mid_expansion_matches_reference() {
+    let u = Universe::new();
+    let grid = tickers(&u, 3, 7);
+    let grid: Vec<&Automaton> = grid.iter().collect();
+    for (late_first, head) in [(false, 0), (false, 10), (true, 10), (true, 40)] {
+        assert_lazy_modes_match_reference(&grid, late_first, head);
+    }
+    // Four lockstep rings of 50 states: 50 reachable states of a
+    // 6,250,000-cell grid, far sparser than any table the interner grows,
+    // so it keeps probing.
+    let rings = lockstep_rings(&u, 4, 50);
+    let rings: Vec<&Automaton> = rings.iter().collect();
+    for late_first in [false, true] {
+        assert_lazy_modes_match_reference(&rings, late_first, 10);
+    }
+}

@@ -15,7 +15,7 @@
 //! the final learned models (snapshot-for-snapshot — the cache is a pure
 //! accelerator), and that the cached run drives the rig through at most
 //! half of the serial run's steps across the campaign. The per-step
-//! [`LatentComponent`](muml_legacy::LatentComponent) latency weights the
+//! [`LatentComponent`] latency weights the
 //! wall-clock numbers the way a real test rig would: with a slow rig, the
 //! saved steps dominate the run time.
 

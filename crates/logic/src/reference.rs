@@ -2,7 +2,7 @@
 //! specification.
 //!
 //! This is the textbook labelling engine the bitset/worklist kernel in
-//! [`crate::checker`] replaced: `Vec<bool>` satisfaction sets, a
+//! `crate::checker` replaced: `Vec<bool>` satisfaction sets, a
 //! `HashMap<Formula, Vec<bool>>` cache, and global-sweep fixpoints iterated
 //! to stability. It is deliberately naive and deliberately unchanged —
 //! the differential test (`tests/differential.rs`) pins the new kernel's
@@ -11,7 +11,7 @@
 //! side of the old-vs-new counters in `BENCH_check.json`.
 //!
 //! Semantics (stutter loops at deadlock states, the `deadlock` predicate,
-//! bounded backward induction) are documented in [`crate::checker`].
+//! bounded backward induction) are documented in `crate::checker`.
 
 use std::collections::HashMap;
 

@@ -190,10 +190,10 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
 /// A cloneable, thread-safe handle fanning many producers into one shared
 /// sink (`Arc<Mutex<dyn EventSink + Send>>`).
 ///
-/// Fleet workers each run their own [`IntegrationSession`] with its own
-/// `&mut dyn EventSink`; `SharedSink` lets all of them feed one collector
-/// without any worker owning it. Combine with [`Tee`] to additionally keep
-/// a local per-worker stream.
+/// Fleet workers each run their own `muml_core::IntegrationSession` with
+/// its own `&mut dyn EventSink`; `SharedSink` lets all of them feed one
+/// collector without any worker owning it. Combine with [`Tee`] to
+/// additionally keep a local per-worker stream.
 ///
 /// Events from concurrent sessions interleave at event granularity (the
 /// mutex is held per `emit`); use [`LoopEvent::iteration`] together with a
