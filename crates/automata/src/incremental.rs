@@ -21,7 +21,9 @@
 //!   into the exact state order a cold rebuild would produce — so the
 //!   resulting [`Composition`] is *identical* (states, ids, transition
 //!   order, counterexamples) to `compose(&parts, opts)` on the fresh
-//!   closures.
+//!   closures. Targets are interned, and the product renumbered, by the
+//!   same tuple interner and canonical-order DFS that
+//!   [`LazyProduct`](crate::LazyProduct) uses (see `lazy.rs`).
 //! * [`WarmCarry`] reports which product states kept their entire forward
 //!   behaviour (they cannot reach any invalidated row), so a checker may
 //!   carry their satisfaction bits into the next iteration (see
@@ -32,7 +34,6 @@
 //! whenever the context changed, the initial-state set grew, or the dirty
 //! fraction of the product exceeds [`CompositionCache::set_threshold`].
 
-use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 
 use crate::automaton::{Automaton, StateData, StateId, Transition};
@@ -42,6 +43,7 @@ use crate::error::{AutomataError, Result};
 use crate::incomplete::{IncompleteAutomaton, LearnDelta};
 use crate::kernel::{product_state_name, RowKernel};
 use crate::label::{Guard, LabelFamily};
+use crate::lazy::{canonical_dfs, TupleInterner, UNNUMBERED};
 use crate::prop::{PropId, PropSet};
 
 /// How a [`CompositionCache::recompose`] call produced its product.
@@ -259,8 +261,6 @@ struct CacheState {
     context_fp: u64,
     closures: Vec<ClosureCache>,
     comp: Composition,
-    /// Component-state tuple → product state id.
-    index: HashMap<Vec<StateId>, StateId>,
 }
 
 /// Caches the composition `context ∥ chaos(M_l^1) ∥ … ∥ chaos(M_l^k)`
@@ -269,6 +269,14 @@ struct CacheState {
 /// Keyed by the structural fingerprint of the context (a different context
 /// automaton forces a cold rebuild) and the legacy abstraction revisions
 /// implied by the [`LearnDelta`]s handed to [`Self::recompose`].
+///
+/// The cache holds no tuple index between calls. An incremental
+/// recompose interns the product's origin tuples into a fresh
+/// `TupleInterner` (`lazy.rs`) over a flat `u32` arena, with mixed-radix
+/// places taken from the patched closures' sizes, and interns each
+/// spliced target straight from the row kernel. It then renumbers the
+/// product with the canonical-order DFS `into_composition` also uses,
+/// dropping states that became unreachable.
 pub struct CompositionCache {
     threshold: f64,
     state: Option<CacheState>,
@@ -435,7 +443,18 @@ impl CompositionCache {
 
         let automaton = &mut st.comp.automaton;
         let origin = &mut st.comp.origin;
-        let index = &mut st.index;
+        // Intern the product's tuples under the patched closures' sizes, so
+        // the interner's mixed-radix places cover every closure state. The
+        // arena holds each product state's tuple at stride `k`; spliced
+        // targets are interned straight from the kernel's target slice.
+        let k = parts.len();
+        let mut interner = TupleInterner::new(parts.iter().map(|p| p.state_count()), old_states);
+        let mut arena: Vec<u32> = Vec::with_capacity(old_states * k);
+        for (id, tuple) in origin.iter().enumerate() {
+            arena.extend(tuple.iter().map(|s| s.0));
+            let fresh = interner.intern(&arena[id * k..], id as u32, &arena, k).1;
+            debug_assert!(fresh, "product states have distinct tuples");
+        }
         let mut stats = crate::compose::ComposeStats::default();
         let mut spliced = 0usize;
         // Invalidated rows first (their StateData may have stale props),
@@ -452,8 +471,6 @@ impl CompositionCache {
         // the row being expanded already has an entry to `t`.
         let mut stamp: Vec<u32> = vec![0; automaton.states.len()];
         let mut generation = 0u32;
-        let mut source: Vec<u32> = Vec::with_capacity(parts.len());
-        let mut key: Vec<StateId> = Vec::with_capacity(parts.len());
         let mut queue: Vec<usize> = dirty_rows.clone();
         while let Some(r) = queue.pop().or_else(|| worklist.pop()) {
             if automaton.states.len() > opts.max_states {
@@ -466,36 +483,31 @@ impl CompositionCache {
                 });
             }
             generation += 1;
-            source.clear();
-            source.extend(origin[r].iter().map(|s| s.0));
-            if !kernel.load(&source) {
+            if !kernel.load(&arena[r * k..(r + 1) * k]) {
                 continue; // some component blocks: the row stays empty
             }
             let adj = &mut automaton.adj;
             let states = &mut automaton.states;
             let expanded = kernel.walk(opts, &mut stats, |guard, target| {
-                key.clear();
-                key.extend(target.iter().map(|&t| StateId(t)));
-                let tgt = match index.get(key.as_slice()) {
-                    Some(&id) => id,
-                    None => {
-                        let id = StateId(states.len() as u32);
-                        let props = key
-                            .iter()
-                            .zip(&parts)
-                            .fold(PropSet::EMPTY, |acc, (&s, p)| acc.union(p.props_of(s)));
-                        states.push(StateData {
-                            name: product_state_name(&parts, target),
-                            props,
+                let (id, fresh) = interner.intern(target, states.len() as u32, &arena, k);
+                if fresh {
+                    arena.extend_from_slice(target);
+                    let props = target
+                        .iter()
+                        .zip(&parts)
+                        .fold(PropSet::EMPTY, |acc, (&s, p)| {
+                            acc.union(p.props_of(StateId(s)))
                         });
-                        adj.push(Vec::new());
-                        origin.push(key.clone());
-                        index.insert(key.clone(), id);
-                        stamp.push(0);
-                        worklist.push(id.index());
-                        id
-                    }
-                };
+                    states.push(StateData {
+                        name: product_state_name(&parts, target),
+                        props,
+                    });
+                    adj.push(Vec::new());
+                    origin.push(target.iter().map(|&t| StateId(t)).collect());
+                    stamp.push(0);
+                    worklist.push(id as usize);
+                }
+                let tgt = StateId(id);
                 let repeat = std::mem::replace(&mut stamp[tgt.index()], generation) == generation;
                 if !repeat || !adj[r].iter().any(|t| t.to == tgt && t.guard == guard) {
                     adj[r].push(Transition { guard, to: tgt });
@@ -513,54 +525,31 @@ impl CompositionCache {
         // incremental product bit-identical to `compose` over fresh
         // closures (see module docs) and doubles as compaction.
         let grown = automaton.states.len();
-        let mut order: Vec<Option<u32>> = vec![None; grown];
-        let mut assigned = 0u32;
-        let mut stack: Vec<usize> = Vec::new();
-        for &q in &automaton.initial {
-            if order[q.index()].is_none() {
-                order[q.index()] = Some(assigned);
-                assigned += 1;
-                stack.push(q.index());
-            }
-        }
-        let mut visit: Vec<usize> = Vec::with_capacity(grown);
-        while let Some(s) = stack.pop() {
-            visit.push(s);
-            for t in &automaton.adj[s] {
-                if order[t.to.index()].is_none() {
-                    order[t.to.index()] = Some(assigned);
-                    assigned += 1;
-                    stack.push(t.to.index());
+        let rows = &automaton.adj;
+        let (order, back) = canonical_dfs(grown, automaton.initial.iter().map(|q| q.0), |s| {
+            rows[s as usize].iter().map(|t| t.to.0)
+        });
+        let new_count = back.len();
+        automaton.states = back
+            .iter()
+            .map(|&old| std::mem::take(&mut automaton.states[old as usize]))
+            .collect();
+        *origin = back
+            .iter()
+            .map(|&old| std::mem::take(&mut origin[old as usize]))
+            .collect();
+        automaton.adj = back
+            .iter()
+            .map(|&old| {
+                let mut row = std::mem::take(&mut automaton.adj[old as usize]);
+                for t in &mut row {
+                    t.to = StateId(order[t.to.index()]);
                 }
-            }
-        }
-        let new_count = assigned as usize;
-        let placeholder = StateData {
-            name: String::new(),
-            props: PropSet::EMPTY,
-        };
-        let mut new_states: Vec<StateData> = vec![placeholder; new_count];
-        let mut new_adj: Vec<Vec<Transition>> = vec![Vec::new(); new_count];
-        let mut new_origin: Vec<Vec<StateId>> = vec![Vec::new(); new_count];
-        for old in visit {
-            let new = order[old].expect("visited states are ordered") as usize;
-            new_states[new] = std::mem::take(&mut automaton.states[old]);
-            new_origin[new] = std::mem::take(&mut origin[old]);
-            let mut row = std::mem::take(&mut automaton.adj[old]);
-            for t in &mut row {
-                t.to = StateId(order[t.to.index()].expect("reachable target"));
-            }
-            new_adj[new] = row;
-        }
-        automaton.states = new_states;
-        automaton.adj = new_adj;
+                row
+            })
+            .collect();
         for q in &mut automaton.initial {
-            *q = StateId(order[q.index()].expect("initial states are reachable"));
-        }
-        *origin = new_origin;
-        index.clear();
-        for (i, tuple) in origin.iter().enumerate() {
-            index.insert(tuple.clone(), StateId(i as u32));
+            *q = StateId(order[q.index()]);
         }
         st.comp.stats = stats;
         st.comp.csr = Csr::of(&st.comp.automaton);
@@ -570,7 +559,7 @@ impl CompositionCache {
             old_states,
             new_states: new_count,
             remap: (0..old_states)
-                .map(|s| if in_cone[s] { None } else { order[s] })
+                .map(|s| (!in_cone[s] && order[s] != UNNUMBERED).then_some(order[s]))
                 .collect(),
         };
         let info = RecomposeInfo {
@@ -599,12 +588,6 @@ impl CompositionCache {
             .chain(closures.iter().map(|c| c.automaton()))
             .collect();
         let comp = compose(&parts, opts)?;
-        let index = comp
-            .origin
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.clone(), StateId(i as u32)))
-            .collect();
         let info = RecomposeInfo {
             mode: RecomposeMode::Cold,
             dirty_states: comp.automaton.state_count(),
@@ -615,7 +598,6 @@ impl CompositionCache {
             context_fp,
             closures,
             comp,
-            index,
         });
         Ok(info)
     }

@@ -38,6 +38,10 @@
 //! memory at 10^6 states — and counterexample labels are recovered by
 //! re-running the row kernel on the few rows a witness path actually
 //! crosses ([`LazyProduct::first_label_to`]).
+//!
+//! The tuple interner and the canonical-order DFS are also the ones
+//! [`CompositionCache`](crate::CompositionCache) splices and renumbers
+//! through, so the crate has one of each.
 
 use crate::automaton::{Automaton, StateData, StateId, Transition};
 use crate::compose::{ComposeOptions, ComposeStats, Composition};
@@ -52,8 +56,46 @@ use crate::signal::SignalSet;
 /// expanded yet.
 const UNEXPANDED: u32 = u32::MAX;
 
-/// Sentinel in the canonical order for a state not numbered yet.
-const UNNUMBERED: u32 = u32::MAX;
+/// Sentinel in the canonical order for a state the DFS has not reached.
+pub(crate) const UNNUMBERED: u32 = u32::MAX;
+
+/// The canonical discovery-order numbering of a product with `n` states:
+/// the `initial` states first (in the order given), then depth-first off a
+/// LIFO stack following each row's targets in emit order — the numbering
+/// the classic compose assigns. Repeated targets in a row are skipped, so
+/// `successors` may yield a row's targets with or without repeats.
+///
+/// Returns `order` (current id → canonical id, [`UNNUMBERED`] for states
+/// the walk never reaches) and its inverse `back` (canonical id → current
+/// id), whose length is the number of states reached.
+pub(crate) fn canonical_dfs<I>(
+    n: usize,
+    initial: impl IntoIterator<Item = u32>,
+    mut successors: impl FnMut(u32) -> I,
+) -> (Vec<u32>, Vec<u32>)
+where
+    I: IntoIterator<Item = u32>,
+{
+    let mut order: Vec<u32> = vec![UNNUMBERED; n];
+    let mut back: Vec<u32> = Vec::with_capacity(n);
+    for q in initial {
+        if order[q as usize] == UNNUMBERED {
+            order[q as usize] = back.len() as u32;
+            back.push(q);
+        }
+    }
+    let mut stack = back.clone();
+    while let Some(s) = stack.pop() {
+        for t in successors(s) {
+            if order[t as usize] == UNNUMBERED {
+                order[t as usize] = back.len() as u32;
+                back.push(t);
+                stack.push(t);
+            }
+        }
+    }
+    (order, back)
+}
 
 /// Tuple→id interner over the tuple arena.
 ///
@@ -74,7 +116,7 @@ const UNNUMBERED: u32 = u32::MAX;
 /// no hash, no probe and no further growth. Sparse grids and hashed codes
 /// keep the table, so the direct map never costs more memory than it saves.
 #[derive(Debug, Clone)]
-struct TupleInterner {
+pub(crate) struct TupleInterner {
     slots: Vec<Slot>,
     /// `64 - log2(slots.len())`: a slot index is the top bits of the
     /// scrambled code.
@@ -119,7 +161,7 @@ fn tuple_hash(tuple: &[u32]) -> u64 {
 impl TupleInterner {
     /// An interner for tuples whose `i`-th coordinate is below `sizes[i]`,
     /// with room for `cap` tuples before its first growth.
-    fn new(sizes: impl IntoIterator<Item = usize>, cap: usize) -> TupleInterner {
+    pub(crate) fn new(sizes: impl IntoIterator<Item = usize>, cap: usize) -> TupleInterner {
         let mut places = Vec::new();
         let mut place = Some(1u64);
         for size in sizes {
@@ -177,9 +219,15 @@ impl TupleInterner {
 
     /// Looks up `tuple`, inserting `id` if absent. Returns the resident id
     /// and whether it was inserted. `arena` is the packed tuple storage
-    /// keyed by stride `k`; `tuple` must not yet be in the arena when
-    /// inserting (the caller appends it on miss).
-    fn intern(&mut self, tuple: &[u32], id: u32, arena: &[u32], k: usize) -> (u32, bool) {
+    /// keyed by stride `k`: it must hold the tuple of every resident id
+    /// (the caller appends `tuple` on a miss, or beforehand).
+    pub(crate) fn intern(
+        &mut self,
+        tuple: &[u32],
+        id: u32,
+        arena: &[u32],
+        k: usize,
+    ) -> (u32, bool) {
         if self.dense.is_none() && (self.len + 1) * 2 >= self.slots.len() {
             self.grow();
         }
@@ -588,35 +636,17 @@ impl<'a> LazyProduct<'a> {
         found
     }
 
-    /// The canonical discovery-order numbering: initial states first (in
-    /// cartesian order), then depth-first off a LIFO stack following each
-    /// row in emit order — the numbering the classic compose assigns. The
-    /// result maps current ids to canonical ids. Call only once every row
-    /// is expanded ([`expand_all`](LazyProduct::expand_all)), so that every
-    /// discovered state is reached.
-    fn canonical_order(&self) -> Vec<u32> {
+    /// The canonical numbering ([`canonical_dfs`]) of the product, as
+    /// `(order, back)`. Call only once every row is expanded
+    /// ([`expand_all`](LazyProduct::expand_all)), so that every discovered
+    /// state is reached.
+    fn canonical_order(&self) -> (Vec<u32>, Vec<u32>) {
         let n = self.state_count();
-        let mut order: Vec<u32> = vec![UNNUMBERED; n];
-        let mut next = 0u32;
-        let mut stack: Vec<u32> = Vec::with_capacity(n);
-        for &q in &self.initial {
-            if order[q as usize] == UNNUMBERED {
-                order[q as usize] = next;
-                next += 1;
-                stack.push(q);
-            }
-        }
-        while let Some(s) = stack.pop() {
-            for &t in self.successors(s) {
-                if order[t as usize] == UNNUMBERED {
-                    order[t as usize] = next;
-                    next += 1;
-                    stack.push(t);
-                }
-            }
-        }
-        assert_eq!(next as usize, n, "expand_all left no unreachable state");
-        order
+        let (order, back) = canonical_dfs(n, self.initial.iter().copied(), |s| {
+            self.successors(s).iter().copied()
+        });
+        assert_eq!(back.len(), n, "expand_all left no unreachable state");
+        (order, back)
     }
 
     /// Materializes the fully expanded product as a [`Composition`]
@@ -641,14 +671,9 @@ impl<'a> LazyProduct<'a> {
             "into_composition requires a LazyProduct built with keep_guards"
         );
         self.expand_all()?;
-        let order = self.canonical_order();
+        let (order, back) = self.canonical_order();
         let n = self.state_count();
         let identity = order.iter().enumerate().all(|(i, &o)| o == i as u32);
-        // new id -> old id
-        let mut back: Vec<u32> = vec![0; n];
-        for (old, &o) in order.iter().enumerate() {
-            back[o as usize] = old as u32;
-        }
         let mut states: Vec<StateData> = Vec::with_capacity(n);
         let mut origin: Vec<Vec<StateId>> = Vec::with_capacity(n);
         for &old in &back {

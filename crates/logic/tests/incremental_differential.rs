@@ -8,6 +8,10 @@
 //! A quarter of the seeds pin the splice threshold to `0.0`, forcing the
 //! fallback-to-cold path; another quarter pin it to `1.0`, maximising
 //! splices. The suite asserts that both modes were actually exercised.
+//!
+//! A second arm composes the context with the closures of *two* learning
+//! abstractions, so a splice re-interns tuples whose mixed-radix places
+//! change with both closures' sizes at once.
 
 use std::collections::HashMap;
 
@@ -88,7 +92,7 @@ fn random_label(u: &Universe, rng: &mut Lcg) -> Label {
 /// interaction, feeding `T̄`.
 #[allow(clippy::type_complexity)]
 fn random_observation(
-    u: &Universe,
+    random_label: impl Fn(&mut Lcg) -> Label,
     rng: &mut Lcg,
     steps: &mut HashMap<(String, Label), String>,
     refused: &mut HashMap<(String, Label), ()>,
@@ -99,7 +103,7 @@ fn random_observation(
     let len = 1 + rng.below(4) as usize;
     for _ in 0..len {
         let here = states.last().unwrap().clone();
-        let l = random_label(u, rng);
+        let l = random_label(rng);
         if refused.contains_key(&(here.clone(), l)) {
             break; // would contradict a recorded refusal — stop the walk
         }
@@ -214,7 +218,13 @@ fn randomized_learn_loops_match_cold_rebuilds() {
         let rounds = 2 + rng.below(4) as usize;
         for round in 0..rounds {
             if round > 0 {
-                let obs = random_observation(&u, &mut rng, &mut steps, &mut refused, &mut fresh);
+                let obs = random_observation(
+                    |rng| random_label(&u, rng),
+                    &mut rng,
+                    &mut steps,
+                    &mut refused,
+                    &mut fresh,
+                );
                 m.learn(&obs)
                     .expect("generated observations are consistent by construction");
             }
@@ -265,6 +275,137 @@ fn randomized_learn_loops_match_cold_rebuilds() {
     assert!(
         forced_cold_recomposes > 0,
         "the threshold-0.0 fallback was never exercised"
+    );
+    assert!(
+        warm_seeded_checks > 0,
+        "no check was ever warm-seeded from a previous round"
+    );
+}
+
+/// A label over one input and one output signal of the context's
+/// interface: each signal present or absent.
+fn narrow_label(u: &Universe, rng: &mut Lcg, input: &str, output: &str) -> Label {
+    let mut pick = |name: &str| {
+        if rng.below(2) == 0 {
+            SignalSet::EMPTY
+        } else {
+            u.signals([name])
+        }
+    };
+    Label::new(pick(input), pick(output))
+}
+
+#[test]
+fn two_legacy_learn_loops_match_cold_rebuilds() {
+    const RUNS: u64 = 120;
+    let formula_texts = ["AG !deadlock", "EF deadlock", "AF deadlock", "EG !deadlock"];
+    // Legacy `j` reads `i{j}` from the context and answers on `o{j}`, so
+    // the two closures are composable with each other and the context.
+    let ports = [("i0", "o0"), ("i1", "o1")];
+
+    let mut splices = 0usize;
+    let mut both_dirty_splices = 0usize;
+    let mut warm_seeded_checks = 0usize;
+
+    for seed in 0..RUNS {
+        let mut rng = Lcg(0xD1B5_4A32_D192_ED03 ^ seed.wrapping_mul(0x94D0_49BB_1331_11EB));
+        let u = Universe::new();
+        let ctx = random_context(&u, &mut rng);
+        let formulas: Vec<Formula> = formula_texts
+            .iter()
+            .map(|s| parse(&u, s).expect("formula parses"))
+            .collect();
+        let mut legacy: Vec<IncompleteAutomaton> = ports
+            .iter()
+            .enumerate()
+            .map(|(j, (i, o))| {
+                IncompleteAutomaton::trivial(
+                    &u,
+                    &format!("legacy{j}"),
+                    u.signals([*i]),
+                    u.signals([*o]),
+                    "q0",
+                )
+            })
+            .collect();
+        #[allow(clippy::type_complexity)]
+        let mut knowledge: Vec<(
+            HashMap<(String, Label), String>,
+            HashMap<(String, Label), ()>,
+            usize,
+        )> = vec![(HashMap::new(), HashMap::new(), 0); 2];
+
+        let mut cache = CompositionCache::new();
+        // Splice whatever the delta, so every learning round takes the
+        // incremental path.
+        cache.set_threshold(1.0);
+        let opts = ComposeOptions::default();
+        let mut prev_seed: Option<CheckSeed> = None;
+
+        let rounds = 3 + rng.below(4) as usize;
+        for round in 0..rounds {
+            if round > 0 {
+                // Teach legacy 0, legacy 1, or both this round.
+                let learners = match rng.below(3) {
+                    0 => vec![0],
+                    1 => vec![1],
+                    _ => vec![0, 1],
+                };
+                for j in learners {
+                    let (steps, refused, fresh) = &mut knowledge[j];
+                    let (i, o) = ports[j];
+                    let obs = random_observation(
+                        |rng| narrow_label(&u, rng, i, o),
+                        &mut rng,
+                        steps,
+                        refused,
+                        fresh,
+                    );
+                    legacy[j]
+                        .learn(&obs)
+                        .expect("generated observations are consistent by construction");
+                }
+            }
+            let deltas: Vec<_> = legacy.iter_mut().map(|m| m.take_delta()).collect();
+            let (info, carry) = cache
+                .recompose(&ctx, &legacy, &deltas, None, &opts, true)
+                .expect("recompose succeeds");
+            if info.mode == RecomposeMode::Incremental && info.dirty_states > 0 {
+                splices += 1;
+                if deltas.iter().all(|d| !d.dirty.is_empty()) {
+                    both_dirty_splices += 1;
+                }
+            }
+            let comp = cache.composition();
+            let closures: Vec<Automaton> =
+                legacy.iter().map(|m| chaotic_closure(m, None)).collect();
+            let cold =
+                compose(&[&ctx, &closures[0], &closures[1]], &opts).expect("cold oracle composes");
+            assert_products_identical(seed, round, comp, &cold);
+
+            let mut warm = match (prev_seed.take(), &carry) {
+                (Some(s), Some(c)) => {
+                    warm_seeded_checks += 1;
+                    Checker::with_csr_seeded(&comp.automaton, &comp.csr, s, c)
+                }
+                _ => Checker::with_csr(&comp.automaton, &comp.csr),
+            };
+            let mut cold_checker = Checker::with_csr(&cold.automaton, &cold.csr);
+            for f in &formulas {
+                assert_eq!(
+                    warm.satisfies(f),
+                    cold_checker.satisfies(f),
+                    "seed {seed} round {round}: verdicts diverge on {f:?}"
+                );
+            }
+            prev_seed = Some(warm.into_seed());
+        }
+    }
+
+    assert!(splices > 0, "no round ever spliced a dirty delta");
+    assert!(
+        both_dirty_splices > 0,
+        "no splice ever patched both closures at once"
     );
     assert!(
         warm_seeded_checks > 0,
